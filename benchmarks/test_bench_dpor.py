@@ -1,39 +1,48 @@
-"""E16 — source-set DPOR vs sleep-set lite on the exhaustive explorer.
+"""E16 — source-set DPOR vs the unpruned DFS on the exhaustive explorer.
 
-Three measurements:
+Two measurements:
 
-* **withdraw-race-3** — the three-instance lost-update workload, explored
-  to completion by both pruning modes at each interesting level.  Race
-  reversal visits a fraction of lite's runs (the acceptance bar is >=10x
-  at SNAPSHOT, where level-aware begin/commit accesses pay off most) and
-  reaches exactly the same final states.
+* **withdraw-race-3** — the three-instance lost-update workload at each
+  interesting level, explored by the optimal explorer and by the unpruned
+  DFS under ``DFS_BUDGET`` runs.  Where the DFS finishes, both must reach
+  exactly the same final states and the run ratio is reported; where it
+  does not, the row records the truncation.
 * **tpcc district-mix** — two NewOrders and a Payment on one district,
   both modes given the same run budget: optimal finishes the exhaustive
-  certification, lite truncates.
-* **fingerprint cost** — the structural tuple fingerprint vs the legacy
-  repr+sha256 construction it replaced, timed over the states of one
-  completed run.
+  certification, the DFS truncates.
 
-Emits ``BENCH_dpor.json`` for CI trend tracking.
+Emits ``BENCH_dpor.json`` (with the commit it was measured at) for CI
+trend tracking.
 """
 
-import hashlib
+import subprocess
 import time
 
 import pytest
 
-from benchmarks._report import emit, emit_json
+from benchmarks._report import RESULTS_DIR, emit, emit_json
 from repro.core.report import format_table
 from repro.pipeline.scenarios import scenarios_for
-from repro.sched.explore import _state_token, explore, state_fingerprint
-from repro.sched.simulator import Simulator
+from repro.sched.explore import explore
 
 LEVELS = ("READ COMMITTED", "REPEATABLE READ", "SNAPSHOT")
 
-#: run budget under which optimal must finish district-mix and lite must not
+#: run budget of the unpruned DFS on withdraw-race-3 (optimal runs unbounded)
+DFS_BUDGET = 20_000
+
+#: run budget under which optimal must finish district-mix and the DFS must not
 MIX_BUDGET = 1000
 
-FINGERPRINT_ROUNDS = 200
+
+def commit() -> str:
+    """The commit the numbers were measured at (``-dirty`` for a work tree)."""
+    try:
+        return subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=7"],
+            cwd=RESULTS_DIR.parent, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
 
 
 def timed_explore(scenario, level, **kwargs):
@@ -46,7 +55,7 @@ def timed_explore(scenario, level, **kwargs):
 def final_states(result):
     return {
         (
-            _state_token(schedule.final),
+            schedule.final.canonical(),
             tuple(sorted((o.name, o.status) for o in schedule.outcomes)),
         )
         for schedule in result.results
@@ -56,48 +65,39 @@ def final_states(result):
 @pytest.fixture(scope="module")
 def races():
     scenario = next(s for s in scenarios_for("banking") if s.name == "withdraw-race-3")
-    out = {}
-    for level in LEVELS:
-        out[level] = {
-            "lite": timed_explore(scenario, level, max_schedules=50_000, dpor="lite"),
-            "optimal": timed_explore(
-                scenario, level, max_schedules=50_000, dpor="optimal"
-            ),
+    return {
+        level: {
+            "dfs": timed_explore(scenario, level, max_schedules=DFS_BUDGET, pruning=False),
+            "optimal": timed_explore(scenario, level),
         }
-    return out
+        for level in LEVELS
+    }
 
 
 def test_bench_race_reversal_reduction(races):
-    """Optimal explores >=10x fewer runs than lite without losing a state."""
+    """Optimal explores fewer runs than the DFS without losing a state."""
     rows = []
-    payload = {}
     for level in LEVELS:
-        lite, lite_wall = races[level]["lite"]
+        dfs, dfs_wall = races[level]["dfs"]
         optimal, opt_wall = races[level]["optimal"]
-        assert not lite.truncated and not optimal.truncated
-        assert final_states(optimal) == final_states(lite)
-        ratio = lite.runs / optimal.runs
+        assert not optimal.truncated
+        if dfs.truncated:
+            ratio = f">{DFS_BUDGET / optimal.runs:.0f}x"
+            dfs_runs = f">{DFS_BUDGET}"
+        else:
+            assert final_states(optimal) == final_states(dfs)
+            assert optimal.runs < dfs.runs
+            ratio = f"{dfs.runs / optimal.runs:.1f}x"
+            dfs_runs = dfs.runs
         rows.append(
-            (level, lite.runs, optimal.runs, f"{ratio:.1f}x",
-             optimal.races, optimal.reversals,
-             f"{lite_wall * 1000:.0f}/{opt_wall * 1000:.0f}")
+            (level, dfs_runs, optimal.runs, ratio, optimal.races, optimal.reversals,
+             f"{dfs_wall * 1000:.0f}/{opt_wall * 1000:.0f}")
         )
-        payload[level] = {
-            "lite": lite.to_dict(),
-            "optimal": optimal.to_dict(),
-            "ratio": round(ratio, 2),
-            "wall_ms": {
-                "lite": round(lite_wall * 1000, 1),
-                "optimal": round(opt_wall * 1000, 1),
-            },
-        }
-    # the acceptance bar: a 10x schedule reduction on the bundled scenario
-    assert payload["SNAPSHOT"]["ratio"] >= 10.0
     emit(
         "E16-race-reversal (withdraw-race-3)",
         format_table(
-            ("level", "lite runs", "optimal runs", "ratio", "races",
-             "reversals", "wall ms l/o"),
+            ("level", "dfs runs", "optimal runs", "ratio", "races",
+             "reversals", "wall ms d/o"),
             rows,
         ),
     )
@@ -107,122 +107,52 @@ def test_bench_race_reversal_reduction(races):
 def mix():
     scenario = next(s for s in scenarios_for("tpcc-lite") if s.name == "district-mix")
     return {
-        "lite": timed_explore(
-            scenario, "SERIALIZABLE", max_schedules=MIX_BUDGET, dpor="lite"
+        "dfs": timed_explore(
+            scenario, "SERIALIZABLE", max_schedules=MIX_BUDGET, pruning=False
         ),
-        "optimal": timed_explore(
-            scenario, "SERIALIZABLE", max_schedules=MIX_BUDGET, dpor="optimal"
-        ),
+        "optimal": timed_explore(scenario, "SERIALIZABLE", max_schedules=MIX_BUDGET),
     }
 
 
 def test_bench_tpcc_exhaustive_certification(mix):
-    """Under one budget, optimal finishes the tpcc mix; lite cannot."""
-    lite, _ = mix["lite"]
+    """Under one budget, optimal finishes the tpcc mix; the DFS cannot."""
+    dfs, _ = mix["dfs"]
     optimal, _ = mix["optimal"]
     assert optimal.truncated is False, "optimal must certify district-mix exhaustively"
-    assert lite.truncated is True, "the budget must genuinely separate the modes"
-    assert optimal.runs < MIX_BUDGET <= lite.runs
+    assert dfs.truncated is True, "the budget must genuinely separate the modes"
+    assert optimal.runs < MIX_BUDGET <= dfs.runs
 
 
-def legacy_fingerprint(simulator):
-    """The repr+sha256 construction the structural tuple replaced.
-
-    Covers only what ``repr`` can canonically render: store contents and
-    scalar runtime progress.  Lock tables, waits-for edges, workspaces and
-    transaction logs carry objects whose default reprs embed memory
-    addresses, so the legacy token simply omitted them — cheaper per call,
-    but blind to state the structural fingerprint distinguishes.  Under
-    the MVCC store ``current``/``committed`` are materialised from the
-    version chains on every access, so this construction now also pays
-    two full materialisations per call.
-    """
-    store = simulator.engine.store
-    parts = [
-        repr(sorted(store.current.items.items())),
-        repr(store.current.arrays),
-        repr(store.current.tables),
-        repr(sorted(store.committed.items.items())),
-        repr(store.committed.arrays),
-        repr(store.committed.tables),
-        repr(sorted(store.versions.items())),
-    ]
-    for runtime in simulator._runtimes:
-        parts.append(
-            repr((runtime.index, runtime.status, runtime.blocked, runtime.ops_done))
-        )
-    return hashlib.sha256("|".join(parts).encode()).hexdigest()
+def _measured(result, wall) -> dict:
+    return {**result.to_dict(), "wall_ms": round(wall * 1000, 1)}
 
 
-@pytest.fixture(scope="module")
-def fingerprints():
-    scenario = next(s for s in scenarios_for("banking") if s.name == "withdraw-race")
-    levels = {name: "READ COMMITTED" for name in scenario.focus}
-    simulator = Simulator(scenario.initial(), scenario.specs(levels), script=[0, 1] * 20)
-    simulator.run()
-    start = time.perf_counter()
-    for _ in range(FINGERPRINT_ROUNDS):
-        structural = state_fingerprint(simulator)
-    structural_wall = time.perf_counter() - start
-    start = time.perf_counter()
-    for _ in range(FINGERPRINT_ROUNDS):
-        legacy = legacy_fingerprint(simulator)
-    legacy_wall = time.perf_counter() - start
-    return {
-        "rounds": FINGERPRINT_ROUNDS,
-        "structural_us": round(structural_wall / FINGERPRINT_ROUNDS * 1e6, 1),
-        "legacy_us": round(legacy_wall / FINGERPRINT_ROUNDS * 1e6, 1),
-        "stable": state_fingerprint(simulator) == structural,
-    }
-
-
-def test_bench_fingerprint_cost(races, mix, fingerprints):
-    """Emit the E16 report: reduction, tpcc separation, fingerprint cost."""
-    assert fingerprints["stable"], "fingerprints must be deterministic"
+def test_bench_dpor_report(races, mix):
+    """Emit BENCH_dpor.json: per-level reduction and the tpcc separation."""
     race_payload = {}
     for level in LEVELS:
-        lite, lite_wall = races[level]["lite"]
+        dfs, dfs_wall = races[level]["dfs"]
         optimal, opt_wall = races[level]["optimal"]
         race_payload[level] = {
-            "lite": lite.to_dict(),
-            "optimal": optimal.to_dict(),
-            "ratio": round(lite.runs / optimal.runs, 2),
-            "wall_ms": {
-                "lite": round(lite_wall * 1000, 1),
-                "optimal": round(opt_wall * 1000, 1),
-            },
+            "dfs": _measured(dfs, dfs_wall),
+            "optimal": _measured(optimal, opt_wall),
+            "ratio": None if dfs.truncated else round(dfs.runs / optimal.runs, 2),
         }
-    mix_lite, mix_lite_wall = mix["lite"]
-    mix_optimal, mix_opt_wall = mix["optimal"]
-    emit(
-        "E16-fingerprint-cost",
-        format_table(
-            ("fingerprint", "us/call"),
-            [
-                ("structural tuple", fingerprints["structural_us"]),
-                ("legacy repr+sha256", fingerprints["legacy_us"]),
-            ],
-        ),
-    )
     emit_json(
         "BENCH_dpor",
         {
+            "commit": commit(),
             "config": {
                 "scenario": "withdraw-race-3",
                 "levels": list(LEVELS),
+                "dfs_budget": DFS_BUDGET,
                 "mix_budget": MIX_BUDGET,
-                "fingerprint_rounds": FINGERPRINT_ROUNDS,
             },
             "withdraw_race_3": race_payload,
             "tpcc_district_mix": {
                 "level": "SERIALIZABLE",
-                "lite": mix_lite.to_dict(),
-                "optimal": mix_optimal.to_dict(),
-                "wall_ms": {
-                    "lite": round(mix_lite_wall * 1000, 1),
-                    "optimal": round(mix_opt_wall * 1000, 1),
-                },
+                "dfs": _measured(*mix["dfs"]),
+                "optimal": _measured(*mix["optimal"]),
             },
-            "fingerprint": fingerprints,
         },
     )

@@ -1,4 +1,4 @@
-"""E12 — what DPOR-lite pruning buys the exhaustive explorer.
+"""E12 — what DPOR pruning buys the exhaustive explorer.
 
 Two workloads, each explored with and without pruning:
 
@@ -103,18 +103,18 @@ def test_bench_explore_pruning(runs):
 
     rows = [
         ("incrementers / full DFS", inc_full.runs, inc_full.schedules,
-         f"{inc_full.pruned_sleep}/{inc_full.pruned_state}", f"{full_wall * 1000:.0f}"),
+         inc_full.pruned_sleep, f"{full_wall * 1000:.0f}"),
         ("incrementers / pruned", inc_pruned.runs, inc_pruned.schedules,
-         f"{inc_pruned.pruned_sleep}/{inc_pruned.pruned_state}", f"{pruned_wall * 1000:.0f}"),
+         inc_pruned.pruned_sleep, f"{pruned_wall * 1000:.0f}"),
         (f"withdraw-race / capped@{UNPRUNED_CAP}", bank_capped.runs, bank_capped.schedules,
-         f"{bank_capped.pruned_sleep}/{bank_capped.pruned_state}", f"{capped_wall * 1000:.0f}"),
+         bank_capped.pruned_sleep, f"{capped_wall * 1000:.0f}"),
         ("withdraw-race / pruned", bank_pruned.runs, bank_pruned.schedules,
-         f"{bank_pruned.pruned_sleep}/{bank_pruned.pruned_state}", f"{bank_wall * 1000:.0f}"),
+         bank_pruned.pruned_sleep, f"{bank_wall * 1000:.0f}"),
     ]
     emit(
         "E12-exploration-pruning",
         format_table(
-            ("configuration", "runs", "schedules", "pruned sleep/state", "wall ms"), rows
+            ("configuration", "runs", "schedules", "pruned sleep", "wall ms"), rows
         ),
     )
     emit_json(

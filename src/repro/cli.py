@@ -221,7 +221,6 @@ def cmd_certify(args) -> int:
         use_sdg=not args.no_sdg,
         max_schedules=args.max_schedules,
         max_depth=args.max_depth,
-        dpor=args.dpor,
     )
     job = run_job(
         spec,
@@ -299,7 +298,6 @@ def cmd_explore(args) -> int:
             max_schedules=args.max_schedules,
             max_depth=args.max_depth,
             pruning=not args.no_pruning,
-            dpor=args.dpor,
             workers=resolve_workers(args.workers),
         )
         violations = []
@@ -324,7 +322,7 @@ def cmd_explore(args) -> int:
             print(f"scenario {scenario.name!r} at {levels}:")
             print(
                 f"  schedules: {result.schedules}  runs: {result.runs}"
-                f"  pruned(sleep/state): {result.pruned_sleep}/{result.pruned_state}"
+                f"  pruned(sleep): {result.pruned_sleep}"
                 f"  truncated: {result.truncated}"
             )
             print(
@@ -406,8 +404,8 @@ def cmd_simulate(args) -> int:
         print(f"level(s):   {levels}")
         print(
             f"schedules:  {exploration.schedules} explored"
-            f" ({exploration.runs} runs, pruned sleep/state:"
-            f" {exploration.pruned_sleep}/{exploration.pruned_state},"
+            f" ({exploration.runs} runs, pruned sleep:"
+            f" {exploration.pruned_sleep},"
             f" truncated: {exploration.truncated})"
         )
         if exploration.results:
@@ -718,7 +716,6 @@ def _submit_options(args) -> dict:
         options["max_schedules"] = args.max_schedules
         if args.max_depth is not None:
             options["max_depth"] = args.max_depth
-        options["dpor"] = args.dpor
     if args.kind == "lint":
         # lint results depend on the app alone; a lean spec maximises the
         # service's chance to coalesce concurrent lint requests
@@ -908,7 +905,7 @@ def build_parser() -> argparse.ArgumentParser:
     certify.add_argument("--budget", type=int, default=3000)
     certify.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="fan static obligations and exploration root branches across N threads",
+        help="fan static obligations and pending race reversals across N threads",
     )
     certify.add_argument(
         "--backend", choices=("thread", "process"), default="thread",
@@ -921,11 +918,6 @@ def build_parser() -> argparse.ArgumentParser:
     certify.add_argument(
         "--max-depth", type=int, default=None,
         help="scheduling-decision budget per explored run",
-    )
-    certify.add_argument(
-        "--dpor", choices=("optimal", "lite"), default="optimal",
-        help="exploration pruning: source-set race reversal (optimal)"
-        " or sleep sets + state caching (lite)",
     )
     certify.add_argument(
         "--no-sdg", action="store_true",
@@ -1046,11 +1038,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     explore.add_argument("--max-schedules", type=int, default=500)
     explore.add_argument("--max-depth", type=int, default=None)
-    explore.add_argument(
-        "--dpor", choices=("optimal", "lite"), default="optimal",
-        help="pruning algorithm: source-set race reversal (optimal)"
-        " or sleep sets + state caching (lite)",
-    )
     explore.add_argument(
         "--no-pruning", action="store_true",
         help="disable all pruning (full DFS)",
@@ -1195,7 +1182,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--level", help="analyze at one level (with --transaction)")
     submit.add_argument("--max-schedules", type=int, default=500)
     submit.add_argument("--max-depth", type=int, default=None)
-    submit.add_argument("--dpor", choices=("optimal", "lite"), default="optimal")
     submit.add_argument("--no-sdg", action="store_true")
     submit.add_argument(
         "--pairs", type=int, default=3,

@@ -26,7 +26,6 @@ class RunContext:
     budget: int = 3000  # BMC sample budget per obligation
     max_schedules: int | None = 500  # exploration run bound per scenario
     max_depth: int | None = None  # exploration decision bound per run
-    dpor: str = "optimal"  # exploration pruning algorithm (optimal | lite)
     use_sdg: bool = True  # SDG obligation pre-pruning in the static layer
     cache: VerdictCache | None = None  # None -> process-shared cache
     cache_dir: str | None = None  # persistent store directory (None -> env/off)

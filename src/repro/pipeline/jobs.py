@@ -52,7 +52,6 @@ class JobSpec:
     level: str | None = None
     max_schedules: int = 500
     max_depth: int | None = None
-    dpor: str = "optimal"
     #: Generator knob string for appgen refs (``fuzz``/``infer`` jobs);
     #: part of the fingerprint — different knobs are different programs.
     profile: str | None = None
@@ -105,8 +104,6 @@ class JobSpec:
             raise JobError(f"budget must be non-negative, got {self.budget}")
         if self.max_schedules is not None and self.max_schedules <= 0:
             raise JobError(f"max_schedules must be positive, got {self.max_schedules}")
-        if self.dpor not in ("optimal", "lite"):
-            raise JobError(f"unknown dpor mode {self.dpor!r}; choose optimal or lite")
         if self.pairs <= 0:
             raise JobError(f"pairs must be positive, got {self.pairs}")
         if self.kind == "fuzz":
@@ -285,7 +282,6 @@ def _run_certify_job(
         budget=spec.budget,
         max_schedules=spec.max_schedules,
         max_depth=spec.max_depth,
-        dpor=spec.dpor,
         use_sdg=spec.use_sdg,
         cache=cache,
         cache_dir=cache_dir,

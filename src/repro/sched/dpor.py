@@ -1,6 +1,6 @@
 """Source-set dynamic partial-order reduction over engine conflict granules.
 
-The explorer's optimal mode (:mod:`repro.sched.explore`) replaces sibling
+The explorer (:mod:`repro.sched.explore`) replaces sibling
 enumeration with *race reversal* (Flanagan & Godefroid's DPOR, with the
 source-set refinement of Abdulla et al., specialised to transaction
 isolation levels after Bouajjani, Enea & Román-Calvo): after each run,
@@ -35,7 +35,7 @@ sharp for this engine rather than a generic one:
   already forbids is ever enqueued;
 * commits and aborts access exactly the granules they publish or undo
   (the ``writes``/``reads`` footprint the engine records on the history
-  op), not "everything" as the lite signatures assume;
+  op), not "everything";
 * commit/commit order is additionally observable through the semantic
   checker's commit-order serial replay, so two commits are dependent
   whenever one transaction's writes intersect the other's full footprint
@@ -118,11 +118,7 @@ def _access_conflict(acc_a, acc_b) -> bool:
 
 
 def accesses_conflict(sig_a, sig_b) -> bool:
-    """Sleep-set conflict test over level-aware access signatures.
-
-    Drop-in replacement for ``not independent(...)`` when the explorer's
-    optimal mode records access sets instead of lite op signatures.
-    """
+    """Sleep-set conflict test over level-aware access signatures."""
     if sig_a is None or sig_b is None or DEPENDENT in (sig_a, sig_b):
         return True
     return _access_conflict(sig_a, sig_b)
@@ -347,10 +343,9 @@ class RaceAnalyzer:
     def online_signature(self, runtime, ops) -> frozenset:
         """Level-aware access signature of one just-executed step.
 
-        Used by the optimal explorer for its sleep sets in place of
-        :func:`~repro.sched.policy.op_signature`, whose commit/abort
-        signatures are :data:`~repro.sched.policy.DEPENDENT` and would
-        wake every sleeping sibling.  Conservative where the run-wide
+        The explorer's sleep-set signature: a commit or abort carries only
+        the granules it publishes or undoes, so it wakes only the sleeping
+        siblings that touch them.  Conservative where the run-wide
         context is unknown: begins always carry the ordering granule (a
         later deadlock could make begin order observable) and aborted
         transactions of other instances are assumed non-SNAPSHOT.

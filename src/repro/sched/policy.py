@@ -23,10 +23,10 @@ Three policies:
   history-DSL replay in :mod:`repro.sched.histories`);
 * :class:`ExhaustivePolicy` — one depth-first branch of a systematic
   exploration, following a forced decision prefix and then extending it
-  deterministically while maintaining a *sleep set* (DPOR-lite, after
-  Godefroid): scheduling decisions whose first operation commutes with
-  everything executed since a sibling branch covered them are never
-  re-explored.  :mod:`repro.sched.explore` drives the backtracking.
+  deterministically while maintaining a *sleep set* (after Godefroid):
+  scheduling decisions whose first operation commutes with everything
+  executed since a sibling branch covered them are never re-explored.
+  :mod:`repro.sched.explore` drives the backtracking.
 """
 
 from __future__ import annotations
@@ -97,12 +97,12 @@ class ReplayPolicy(SchedulePolicy):
 
 
 # ---------------------------------------------------------------------------
-# conflict signatures (the engine-derived independence relation)
+# conflict granules (shared with the race analysis in repro.sched.dpor)
 # ---------------------------------------------------------------------------
 
-#: Sentinel signature for steps that must be considered dependent on every
-#: other step: commits and aborts (they release locks and publish state)
-#: and blocked attempts (they probe lock state without recording history).
+#: Sentinel signature for a step whose accesses are unknown (a branch whose
+#: first step was never observed, or any step of the unpruned DFS, which
+#: computes no signatures): dependent on every other step.
 DEPENDENT = "<dependent>"
 
 #: Pseudo-granule ordering transaction begins: begin order assigns txn
@@ -118,48 +118,6 @@ def _resource(key: tuple):
     if key[0] in ("table", "row"):
         return ("table", key[1])
     return key
-
-
-def op_signature(ops):
-    """Summarise one scheduler step's engine operations for independence.
-
-    ``ops`` is the slice of engine history the step produced.  The result
-    is either :data:`DEPENDENT` or a frozenset of ``(resource, is_write)``
-    pairs.  An empty slice means the step blocked (or was dropped) — the
-    attempt still interacted with the lock table, so it is conservatively
-    dependent on everything.
-    """
-    if not ops:
-        return DEPENDENT
-    signature = set()
-    for op in ops:
-        if op.kind == "begin":
-            signature.add((ORDER_GRANULE, True))
-            continue
-        if op.kind in ("commit", "abort") or op.key is None:
-            return DEPENDENT
-        signature.add((_resource(op.key), op.kind != "r"))
-    if not signature:
-        # nothing observable recorded, which cannot happen for a real op
-        # step — stay conservative
-        return DEPENDENT
-    return frozenset(signature)
-
-
-def independent(sig_a, sig_b) -> bool:
-    """Do two step signatures commute (no shared granule with a write)?"""
-    if sig_a is None or sig_b is None or DEPENDENT in (sig_a, sig_b):
-        return False
-    for resource, is_write in sig_a:
-        for other, other_write in sig_b:
-            if resource == other and (is_write or other_write):
-                return False
-    return True
-
-
-def _filter_sleep(sleep: dict, signature) -> dict:
-    """Keep only sleep entries independent of the step just executed."""
-    return {index: sig for index, sig in sleep.items() if independent(sig, signature)}
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +224,14 @@ class ExhaustivePolicy(SchedulePolicy):
     signatures of previously explored siblings.  It is filtered by the
     candidate's own first-step signature once that is observed.
 
-    Pruning hooks (both optional):
-
-    * ``visited`` — an object with ``seen(fingerprint) -> bool``
-      (check-and-add); a revisited state ends the run (``stop_reason
-      == "state"``);
-    * ``max_depth`` — decision budget per run (``stop_reason == "depth"``).
+    ``signature_fn(runtime, ops)`` summarises each executed step and
+    ``conflict(sig_a, sig_b)`` decides whether two summaries fail to
+    commute — the explorer passes the level-aware access model of
+    :mod:`repro.sched.dpor`.  Each executed step is recorded in ``steps``
+    for the race analysis; with ``pruning`` off neither steps nor a sleep
+    set are kept.
+    ``max_depth`` is a decision budget per run (``stop_reason ==
+    "depth"``).
     """
 
     def __init__(
@@ -279,24 +239,15 @@ class ExhaustivePolicy(SchedulePolicy):
         prefix: Sequence[int] = (),
         entry_sleep: dict | None = None,
         *,
+        signature_fn,
+        conflict,
         pruning: bool = True,
-        visited=None,
-        fingerprint=None,
         max_depth: int | None = None,
-        record_steps: bool = False,
-        signature_fn=None,
-        conflict=None,
     ) -> None:
         self.prefix = list(prefix)
         self.entry_sleep = dict(entry_sleep or {})
         self.pruning = pruning
-        self.visited = visited if pruning else None
-        self.fingerprint = fingerprint
         self.max_depth = max_depth
-        self.record_steps = record_steps
-        # pluggable independence relation: the optimal explorer swaps in
-        # level-aware access signatures (repro.sched.dpor); defaults are
-        # the lite op signatures
         self.signature_fn = signature_fn
         self.conflict = conflict
         self.steps: list = []  # StepRecords for every depth, prefix included
@@ -306,11 +257,10 @@ class ExhaustivePolicy(SchedulePolicy):
         self.sleep: dict = {} if not self.prefix else dict(self.entry_sleep)
         self.frames: list = []  # new frames (depths >= len(prefix))
         self.candidate_signature = None  # first-step signature of prefix[-1]
-        self.stop_reason = None  # None | "sleep" | "state" | "depth"
+        self.stop_reason = None  # None | "sleep" | "depth"
         # instances whose last step was a failed lock attempt that changed
         # nothing: re-choosing one before anything else moves would loop
-        # forever on the identical no-op (lite mode only escaped via the
-        # state-fingerprint dedup; optimal mode has none)
+        # forever on the identical no-op
         self._no_progress: set = set()
 
     def choose(self, active, simulator):
@@ -322,10 +272,6 @@ class ExhaustivePolicy(SchedulePolicy):
         if self.max_depth is not None and depth >= self.max_depth:
             self.stop_reason = "depth"
             return None
-        if self.visited is not None and self.fingerprint is not None:
-            if self.visited.seen(self.fingerprint(simulator), frozenset(self.sleep)):
-                self.stop_reason = "state"
-                return None
         runnable = sorted(rt.index for rt in active if not rt.blocked)
         waiting = sorted(
             rt.index for rt in active if rt.blocked and rt.index not in self._no_progress
@@ -350,8 +296,7 @@ class ExhaustivePolicy(SchedulePolicy):
         return simulator._runtimes[choice]
 
     def _filter(self, sleep: dict, signature) -> dict:
-        if self.conflict is None:
-            return _filter_sleep(sleep, signature)
+        """Keep only sleep entries that commute with the step just executed."""
         return {
             index: sig for index, sig in sleep.items() if not self.conflict(sig, signature)
         }
@@ -363,22 +308,24 @@ class ExhaustivePolicy(SchedulePolicy):
             self._no_progress.add(runtime.index)
         else:
             self._no_progress.clear()
-        if self.signature_fn is not None:
-            signature = self.signature_fn(runtime, ops)
-        else:
-            signature = op_signature(ops)
         depth = self.depth - 1  # the decision just executed
-        if self.record_steps:
-            self.steps.append(
-                StepRecord(
-                    depth=depth,
-                    index=runtime.index,
-                    txn_id=runtime.txn.txn_id if runtime.txn is not None else None,
-                    level=runtime.spec.level,
-                    ops=tuple(ops),
-                    blocked_on=runtime.last_block if runtime.blocked else None,
-                )
+        if not self.pruning:
+            # no sleep set to maintain: only mark the child taken at a new node
+            if depth >= len(self.prefix):
+                frame = self.frames[-1]
+                frame.tried.append((frame.choice, DEPENDENT))
+            return
+        self.steps.append(
+            StepRecord(
+                depth=depth,
+                index=runtime.index,
+                txn_id=runtime.txn.txn_id if runtime.txn is not None else None,
+                level=runtime.spec.level,
+                ops=tuple(ops),
+                blocked_on=runtime.last_block if runtime.blocked else None,
             )
+        )
+        signature = self.signature_fn(runtime, ops)
         if depth == len(self.prefix) - 1:
             # the candidate branch's own first step: seed the live sleep set
             self.candidate_signature = signature
@@ -386,11 +333,6 @@ class ExhaustivePolicy(SchedulePolicy):
             return
         if depth < len(self.prefix):
             return  # interior prefix step: decisions already taken
-        if not self.pruning:
-            if self.frames:
-                frame = self.frames[-1]
-                frame.tried.append((frame.choice, signature))
-            return
         frame = self.frames[-1]
         frame.tried.append((frame.choice, signature))
         self.sleep = self._filter(self.sleep, signature)

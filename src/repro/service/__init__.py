@@ -9,8 +9,13 @@ lint requests over JSON-HTTP at the warm cost.  Pieces:
   latency histograms with Prometheus text rendering;
 * :mod:`repro.service.batcher` — request coalescing, fingerprint-based
   deduplication and the bounded worker pool;
-* :mod:`repro.service.server` — the asyncio HTTP/1.1 front end with
-  admission control, per-request deadlines and graceful drain;
+* :mod:`repro.service.http` — the one asyncio HTTP/1.1 front end
+  (listener, keep-alive loop, request accounting, route table, graceful
+  drain) shared by the worker server and the fleet router;
+* :mod:`repro.service.server` — the worker server: batcher admission
+  control, per-request deadlines and the verdict store;
+* :mod:`repro.service.router` — the fleet router sharding jobs across
+  worker processes;
 * :mod:`repro.service.client` — a small blocking client used by
   ``repro submit``, the tests and the benchmarks.
 

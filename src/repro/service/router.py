@@ -1,11 +1,12 @@
 """The fleet router: one front door, N analysis worker processes.
 
 ``repro serve --fleet N`` turns the single-process analysis service into
-a multi-process fleet.  The router owns the listening socket and speaks
-the exact single-server HTTP API (same endpoints, same schemas, same
-status codes — a client cannot tell the difference); behind it, N worker
-processes each run a full :class:`~repro.service.server.ReproService` on
-an ephemeral port.
+a multi-process fleet.  The router owns the listening socket and serves
+the exact single-server HTTP API through the same front end
+(:class:`~repro.service.http.HttpFrontEnd`: same endpoints, same schemas,
+same status codes — a client cannot tell the difference); behind it, N
+worker processes each run a full
+:class:`~repro.service.server.ReproService` on an ephemeral port.
 
 **Sharding.**  Every job unit is routed by the consistent hash of its
 :class:`~repro.pipeline.jobs.JobSpec` fingerprint — the same key the
@@ -48,10 +49,8 @@ from __future__ import annotations
 import asyncio
 import bisect
 import hashlib
-import json
 import os
 import re
-import signal
 import sys
 import time
 
@@ -62,13 +61,7 @@ from repro.service.client import (
     ServiceConnectionError,
     ServiceError,
 )
-from repro.service.http import (
-    HttpError,
-    read_body,
-    read_head,
-    wants_close,
-    write_response,
-)
+from repro.service.http import HttpError, HttpFrontEnd
 from repro.service.server import ServiceConfig, parse_job_payload
 from repro.service.telemetry import Registry
 
@@ -356,39 +349,26 @@ class RouterTelemetry:
         self.healthy = self.registry.gauge(
             "repro_fleet_healthy_workers", "Workers currently on the hash ring"
         )
-        self.inflight = self.registry.gauge(
+        self.inflight_requests = self.registry.gauge(
             "repro_router_inflight_requests", "HTTP requests currently being routed"
         )
 
 
-class FleetRouter:
+class FleetRouter(HttpFrontEnd):
     """The front process: accept, shard, forward, aggregate, supervise."""
 
     def __init__(self, config: FleetConfig | None = None) -> None:
+        super().__init__()
         self.config = config or FleetConfig()
         self.telemetry = RouterTelemetry()
         self.ring = HashRing(vnodes=self.config.vnodes)
         self.workers = [Worker(i, self.config) for i in range(self.config.fleet)]
-        self.port: int | None = None
-        self._server = None
-        self._monitor_task = None
-        self._started = time.monotonic()
-        self._draining = False
-        self._active = 0
-        self._connections: dict = {}
-        self._idle = None
-        self._stopped = None
-        self._drain_task = None
         self.telemetry.workers.set(self.config.fleet)
 
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> None:
         """Spawn the fleet, build the ring, open the listener."""
-        self._idle = asyncio.Event()
-        self._idle.set()
-        self._stopped = asyncio.Event()
-        self._started = time.monotonic()
         results = await asyncio.gather(
             *(worker.spawn() for worker in self.workers), return_exceptions=True
         )
@@ -403,11 +383,13 @@ class FleetRouter:
         for worker in self.workers:
             self.ring.add(worker.id)
         self.telemetry.healthy.set(len(self.ring))
-        self._server = await asyncio.start_server(
-            self._handle, host=self.config.host, port=self.config.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        self._monitor_task = asyncio.get_running_loop().create_task(self._monitor())
+        try:
+            await self._listen()
+        except OSError:  # e.g. the port is taken: leave no orphaned workers
+            for worker in self.workers:
+                worker.terminate()
+            raise
+        self._spawn(self._monitor())
 
     async def _monitor(self) -> None:
         """Detect dead workers, pull them off the ring, respawn with backoff."""
@@ -450,35 +432,9 @@ class FleetRouter:
         self.telemetry.healthy.set(len(self.ring))
         self.telemetry.respawns.inc()
 
-    def install_signal_handlers(self) -> None:
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, self.begin_drain)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass
-
-    def begin_drain(self) -> None:
-        if self._draining:
-            return
-        self._draining = True
-        self._drain_task = asyncio.get_running_loop().create_task(self._drain())
-
-    async def _drain(self) -> None:
-        """Stop accepting, finish routing, then cascade SIGTERM to workers."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        if self._monitor_task is not None:
-            self._monitor_task.cancel()
-        for writer, busy in list(self._connections.items()):
-            if not busy:
-                writer.close()
-        deadline = time.monotonic() + self.config.drain_timeout
-        try:
-            await asyncio.wait_for(self._idle.wait(), timeout=self.config.drain_timeout)
-        except asyncio.TimeoutError:  # pragma: no cover - stuck forwards
-            pass
+    async def _drain_backend(self, deadline: float) -> None:
+        """Finish routing, then cascade SIGTERM to the workers."""
+        await self._wait_idle(deadline)
         for worker in self.workers:
             worker.terminate()
         for worker in self.workers:
@@ -489,145 +445,14 @@ class FleetRouter:
                 except asyncio.TimeoutError:  # pragma: no cover - stuck worker
                     worker.kill()
             await worker.close()
-        self._stopped.set()
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        self.install_signal_handlers()
-        await self._stopped.wait()
+    # -- endpoints -----------------------------------------------------------
 
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
-    # -- connection handling (same keep-alive discipline as the server) ------
-
-    async def _handle(self, reader, writer) -> None:
-        self._connections[writer] = False
-        try:
-            first = True
-            while True:
-                keep_alive = await self._serve_one(reader, writer, first)
-                first = False
-                if not keep_alive:
-                    break
-        finally:
-            self._connections.pop(writer, None)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _serve_one(self, reader, writer, first: bool) -> bool:
-        try:
-            head = await asyncio.wait_for(
-                read_head(reader), timeout=self.config.read_timeout
-            )
-        except asyncio.TimeoutError:
-            if first:
-                try:
-                    await write_response(
-                        writer, 408, {"error": "timed out reading request head"},
-                        "application/json", keep_alive=False,
-                    )
-                except (ConnectionError, OSError):
-                    pass
-            return False
-        except (ConnectionError, asyncio.IncompleteReadError):
-            return False
-        if head is None:
-            return False
-        self._begin_request(writer)
-        started = time.perf_counter()
-        endpoint, status = "?", 500
-        keep_alive = True
-        try:
-            method, path, headers = head
-            endpoint = path
-            if wants_close(headers):
-                keep_alive = False
-            body = await read_body(
-                reader, method, headers,
-                max_body=self.config.max_body,
-                read_timeout=self.config.read_timeout,
-            )
-            status, payload, content_type = await self._route(method, path, body)
-            if self._draining:
-                keep_alive = False
-            await write_response(
-                writer, status, payload, content_type, keep_alive=keep_alive
-            )
-        except HttpError as exc:
-            status = exc.status
-            keep_alive = keep_alive and status in (404, 405, 429, 503) and not self._draining
-            try:
-                await write_response(
-                    writer, status, {"error": str(exc)}, "application/json",
-                    keep_alive=keep_alive,
-                )
-            except (ConnectionError, OSError):
-                keep_alive = False
-        except (ConnectionError, asyncio.IncompleteReadError):
-            status = 0
-            keep_alive = False
-        except Exception as exc:  # noqa: BLE001 - the loop must survive anything
-            status = 500
-            keep_alive = False
-            try:
-                await write_response(
-                    writer, 500, {"error": f"{type(exc).__name__}: {exc}"},
-                    "application/json", keep_alive=False,
-                )
-            except (ConnectionError, OSError):
-                pass
-        finally:
-            self.telemetry.requests.inc(endpoint=endpoint, status=str(status))
-            self.telemetry.request_seconds.observe(time.perf_counter() - started)
-            self._end_request(writer)
-        return keep_alive
-
-    def _begin_request(self, writer) -> None:
-        self._active += 1
-        if writer in self._connections:
-            self._connections[writer] = True
-        self._idle.clear()
-        self.telemetry.inflight.inc()
-
-    def _end_request(self, writer) -> None:
-        self.telemetry.inflight.dec()
-        if writer in self._connections:
-            self._connections[writer] = False
-        self._active -= 1
-        if self._active == 0:
-            self._idle.set()
-
-    # -- routing -------------------------------------------------------------
-
-    async def _route(self, method: str, path: str, body: bytes):
-        if path == "/healthz":
-            if method != "GET":
-                raise HttpError(405, "use GET /healthz")
-            return self._healthz()
-        if path == "/metrics":
-            if method != "GET":
-                raise HttpError(405, "use GET /metrics")
-            return 200, await self._metrics(), "text/plain; version=0.0.4"
-        if path in ("/analyze", "/certify", "/lint", "/infer", "/fuzz"):
-            if method != "POST":
-                raise HttpError(405, f"use POST {path}")
-            if self._draining:
-                raise HttpError(503, "service is draining")
-            payload = await self._route_jobs(path.lstrip("/"), body)
-            return 200, payload, "application/json"
-        raise HttpError(404, f"no route for {path}")
-
-    def _healthz(self):
+    def _health(self) -> dict:
         status = "draining" if self._draining else (
             "ok" if len(self.ring) else "degraded"
         )
-        payload = {
+        return {
             "status": status,
             "role": "router",
             "pid": os.getpid(),
@@ -646,15 +471,10 @@ class FleetRouter:
                 for worker in self.workers
             ],
         }
-        return (503 if self._draining else 200), payload, "application/json"
 
     # -- job forwarding ------------------------------------------------------
 
-    async def _route_jobs(self, kind: str, body: bytes) -> dict:
-        try:
-            payload = json.loads(body.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise HttpError(400, f"request body is not valid JSON: {exc}")
+    async def _jobs(self, kind: str, payload) -> dict:
         specs, deadline_ms, options = parse_job_payload(
             kind, payload, self.config.worker.default_deadline_ms
         )

@@ -1,8 +1,10 @@
 """The asyncio JSON-over-HTTP analysis server.
 
-Stdlib only: :func:`asyncio.start_server` plus the hand-rolled HTTP/1.1
-layer in :mod:`repro.service.http` (request line, headers,
-``Content-Length`` body; chunked uploads are refused with 501).
+Stdlib only: the HTTP/1.1 front end shared with the fleet router lives in
+:class:`repro.service.http.HttpFrontEnd` (listener, keep-alive loop,
+request accounting, route table, drain skeleton); this module supplies the
+job handler (batcher admission), the ``/healthz`` payload, the
+``/metrics`` text and the drain hook (batcher drain, store flush).
 Connections are persistent by default — one connection may carry many
 requests back to back, which is what the router's pooled
 :class:`~repro.service.client.AsyncServiceClient` relies on to forward
@@ -45,9 +47,7 @@ then refresh the cache from segments other shards persisted — the shared
 from __future__ import annotations
 
 import asyncio
-import json
 import os
-import signal
 import time
 
 from repro.core.cache import VerdictCache
@@ -55,31 +55,20 @@ from repro.core.persist import open_store
 from repro.errors import ReproError
 from repro.pipeline.jobs import JobError, JobSpec, run_job
 from repro.service.batcher import Batcher, QueueFullError
-from repro.service.http import (
-    REASONS,
-    HttpError,
-    read_body,
-    read_head,
-    wants_close,
-    write_response,
-)
+from repro.service.http import HttpError, HttpFrontEnd
 from repro.service.telemetry import ServiceTelemetry
 
 __all__ = [
-    "REASONS", "JOB_OPTION_FIELDS", "ServiceConfig", "ReproService",
+    "JOB_OPTION_FIELDS", "ServiceConfig", "ReproService",
     "parse_job_payload", "serve",
 ]
 
 #: Option fields a job request may carry besides app/apps/deadline_ms.
 JOB_OPTION_FIELDS = (
     "budget", "seed", "ladder", "snapshot", "use_sdg",
-    "transaction", "level", "max_schedules", "max_depth", "dpor",
+    "transaction", "level", "max_schedules", "max_depth",
     "profile", "pairs",
 )
-
-# backwards-compatible alias: the server's request-abort exception now
-# lives in repro.service.http, shared with the fleet router
-_HttpError = HttpError
 
 
 class ServiceConfig:
@@ -203,10 +192,11 @@ def parse_job_payload(kind: str, payload, default_deadline_ms: int | None = None
     return specs, deadline_ms, options
 
 
-class ReproService:
+class ReproService(HttpFrontEnd):
     """One warmed analysis process serving many requests."""
 
     def __init__(self, config: ServiceConfig | None = None) -> None:
+        super().__init__()
         self.config = config or ServiceConfig()
         self.telemetry = ServiceTelemetry()
         self.cache = VerdictCache()
@@ -221,16 +211,6 @@ class ReproService:
             max_pending=self.config.max_pending,
             telemetry=self.telemetry,
         )
-        self.port: int | None = None
-        self._server: asyncio.base_events.Server | None = None
-        self._started = time.monotonic()
-        self._draining = False
-        self._active = 0  # requests currently being parsed/served
-        self._connections: dict = {}  # writer -> busy flag (idle keep-alives)
-        self._idle = None  # asyncio.Event set whenever _active == 0
-        self._stopped = None  # asyncio.Event set when drain completes
-        self._drain_task = None
-        self._persist_task = None
 
     # -- job execution (pool threads) ----------------------------------------
 
@@ -248,20 +228,11 @@ class ReproService:
 
     async def start(self) -> None:
         """Warm the cache from the persistent store and open the listener."""
-        self._idle = asyncio.Event()
-        self._idle.set()
-        self._stopped = asyncio.Event()
-        self._started = time.monotonic()
         if self.store is not None:
             self.warmed_entries = self.store.load(self.cache)
-        self._server = await asyncio.start_server(
-            self._handle, host=self.config.host, port=self.config.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        await self._listen()
         if self.store is not None and self.config.persist_interval > 0:
-            self._persist_task = asyncio.get_running_loop().create_task(
-                self._persist_cycle()
-            )
+            self._spawn(self._persist_cycle())
 
     async def _persist_cycle(self) -> None:
         """Fleet mode: periodically flush our verdicts, absorb other shards'.
@@ -285,203 +256,34 @@ class ReproService:
         self.store.flush(self.cache)
         self.store.refresh(self.cache)
 
-    def install_signal_handlers(self) -> None:
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, self.begin_drain)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass
-
-    def begin_drain(self) -> None:
-        """Idempotently start the graceful shutdown sequence."""
-        if self._draining:
-            return
-        self._draining = True
-        self._drain_task = asyncio.get_running_loop().create_task(self._drain())
-
-    async def _drain(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        if self._persist_task is not None:
-            self._persist_task.cancel()
-        # idle keep-alive connections hold no work; close them so the
-        # request loop sees EOF and exits cleanly
-        for writer, busy in list(self._connections.items()):
-            if not busy:
-                writer.close()
-        deadline = time.monotonic() + self.config.drain_timeout
+    async def _drain_backend(self, deadline: float) -> None:
         await self.batcher.drain(timeout=self.config.drain_timeout)
         # handlers finish right after their jobs resolve; give them the rest
         # of the drain budget to flush their responses
-        remaining = max(0.0, deadline - time.monotonic())
-        try:
-            await asyncio.wait_for(self._idle.wait(), timeout=remaining or 0.05)
-        except asyncio.TimeoutError:  # pragma: no cover - only on stuck jobs
-            pass
+        await self._wait_idle(deadline)
         if self.store is not None:
             self.store.flush(self.cache)
         self.batcher.shutdown()
-        self._stopped.set()
 
-    async def serve_forever(self) -> None:
-        """Run until a signal (or :meth:`begin_drain`) completes the drain."""
-        if self._server is None:
-            await self.start()
-        self.install_signal_handlers()
-        await self._stopped.wait()
+    # -- endpoints -----------------------------------------------------------
 
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
-    # -- connection handling -------------------------------------------------
-
-    async def _handle(self, reader, writer) -> None:
-        """Serve one connection: a keep-alive loop of request/response."""
-        self._connections[writer] = False
-        try:
-            first = True
-            while True:
-                keep_alive = await self._serve_one(reader, writer, first)
-                first = False
-                if not keep_alive:
-                    break
-        finally:
-            self._connections.pop(writer, None)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _serve_one(self, reader, writer, first: bool) -> bool:
-        """Serve one request; returns whether the connection stays open."""
-        try:
-            head = await asyncio.wait_for(
-                read_head(reader), timeout=self.config.read_timeout
-            )
-        except asyncio.TimeoutError:
-            if first:
-                # a fresh connection that never sent a head gets told why;
-                # an idle keep-alive just expires silently
-                await self._begin_request(writer)
-                try:
-                    await self._respond_safely(
-                        writer, 408, {"error": "timed out reading request head"}
-                    )
-                    self._count(408, "?", time.perf_counter())
-                finally:
-                    self._end_request(writer)
-            return False
-        except (ConnectionError, asyncio.IncompleteReadError):
-            return False
-        if head is None:
-            return False  # clean EOF between requests
-        self._begin_request(writer)
-        started = time.perf_counter()
-        endpoint, status = "?", 500
-        keep_alive = True
-        try:
-            method, path, headers = head
-            endpoint = path
-            if wants_close(headers):
-                keep_alive = False
-            body = await read_body(
-                reader, method, headers,
-                max_body=self.config.max_body,
-                read_timeout=self.config.read_timeout,
-            )
-            status, payload, content_type = await self._route(method, path, body)
-            if self._draining:
-                keep_alive = False
-            await write_response(
-                writer, status, payload, content_type, keep_alive=keep_alive
-            )
-        except HttpError as exc:
-            status = exc.status
-            keep_alive = keep_alive and status in (404, 405, 429, 503) and not self._draining
-            await self._respond_safely(
-                writer, exc.status, {"error": str(exc)}, keep_alive=keep_alive
-            )
-        except (ConnectionError, asyncio.IncompleteReadError):
-            status = 0  # client went away; nothing to answer
-            keep_alive = False
-        except Exception as exc:  # noqa: BLE001 - the loop must survive anything
-            status = 500
-            keep_alive = False
-            await self._respond_safely(
-                writer, 500, {"error": f"{type(exc).__name__}: {exc}"}
-            )
-        finally:
-            self._count(status, endpoint, started)
-            self._end_request(writer)
-        return keep_alive
-
-    def _begin_request(self, writer) -> None:
-        self._active += 1
-        if writer in self._connections:
-            self._connections[writer] = True
-        self._idle.clear()
-        self.telemetry.inflight_requests.inc()
-
-    def _end_request(self, writer) -> None:
-        self.telemetry.inflight_requests.dec()
-        if writer in self._connections:
-            self._connections[writer] = False
-        self._active -= 1
-        if self._active == 0:
-            self._idle.set()
-
-    def _count(self, status: int, endpoint: str, started: float) -> None:
-        self.telemetry.requests.inc(endpoint=endpoint, status=str(status))
-        self.telemetry.request_seconds.observe(time.perf_counter() - started)
-
-    # -- routing -------------------------------------------------------------
-
-    async def _route(self, method: str, path: str, body: bytes):
-        if path == "/healthz":
-            if method != "GET":
-                raise HttpError(405, "use GET /healthz")
-            return self._healthz()
-        if path == "/metrics":
-            if method != "GET":
-                raise HttpError(405, "use GET /metrics")
-            return 200, self.telemetry.registry.render(), "text/plain; version=0.0.4"
-        if path in ("/analyze", "/certify", "/lint", "/infer", "/fuzz"):
-            if method != "POST":
-                raise HttpError(405, f"use POST {path}")
-            if self._draining:
-                raise HttpError(503, "service is draining")
-            payload = await self._handle_jobs(path.lstrip("/"), body)
-            return 200, payload, "application/json"
-        raise HttpError(404, f"no route for {path}")
-
-    def _healthz(self):
-        status = "draining" if self._draining else "ok"
-        payload = {
-            "status": status,
+    def _health(self) -> dict:
+        return {
+            "status": "draining" if self._draining else "ok",
             "pid": os.getpid(),
             "uptime_seconds": round(time.monotonic() - self._started, 3),
             "queue_depth": self.batcher.admitted,
             "warmed_entries": self.warmed_entries,
             "cache_entries": len(self.cache),
         }
-        return (503 if self._draining else 200), payload, "application/json"
 
-    def _parse_jobs(self, kind: str, body: bytes):
-        try:
-            payload = json.loads(body.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise HttpError(400, f"request body is not valid JSON: {exc}")
+    async def _metrics(self) -> str:
+        return self.telemetry.registry.render()
+
+    async def _jobs(self, kind: str, payload) -> dict:
         specs, deadline_ms, _options = parse_job_payload(
             kind, payload, self.config.default_deadline_ms
         )
-        return specs, deadline_ms
-
-    async def _handle_jobs(self, kind: str, body: bytes) -> dict:
-        specs, deadline_ms = self._parse_jobs(kind, body)
         loop = asyncio.get_running_loop()
         cutoff = loop.time() + deadline_ms / 1000.0 if deadline_ms else None
         units = []
@@ -529,18 +331,6 @@ class ReproService:
             entry["meta"] = result.extras
             entries.append(entry)
         return {"kind": kind, "results": entries, "timed_out": any_timeout}
-
-    # -- responses -----------------------------------------------------------
-
-    async def _respond_safely(
-        self, writer, status: int, payload, keep_alive: bool = False
-    ) -> None:
-        try:
-            await write_response(
-                writer, status, payload, "application/json", keep_alive=keep_alive
-            )
-        except (ConnectionError, OSError):  # pragma: no cover - client gone
-            pass
 
 
 def _swallow_outcome(future) -> None:

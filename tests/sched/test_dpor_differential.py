@@ -1,18 +1,18 @@
-"""Differential tests: optimal DPOR vs lite vs unpruned DFS.
+"""Differential tests: optimal DPOR vs the unpruned DFS.
 
 The reduction claims of the optimal explorer are only worth anything if
 they are *sound*: for every bundled scenario and level assignment, the
-set of reachable final states (state token + per-instance outcome census)
-and the set of semantic-violation summaries must be identical across
-pruning modes.  Small scenarios are additionally compared against the
-unpruned DFS ground truth; the three-instance workloads compare optimal
-against lite only (their full trees are too large for a test budget).
+set of reachable final states (canonical state + per-instance outcome
+census) and the set of semantic-violation summaries must be identical to
+what the unpruned DFS reaches.  The small scenarios and three of the
+three-instance workloads finish unpruned under the run budget; the three
+SNAPSHOT workloads do not, so their optimal census is pinned instead.
 """
 
 import pytest
 
 from repro.pipeline.scenarios import scenarios_for
-from repro.sched.explore import _state_token, explore
+from repro.sched.explore import explore
 from repro.sched.semantic import check_semantic_correctness
 
 SMALL = [
@@ -36,6 +36,40 @@ LARGE = [
     ("mvcc-stress", "version-bloat", "SNAPSHOT"),
 ]
 
+#: Rows whose unpruned tree exceeds the run budget: the final-state census
+#: and the violation summaries the optimal explorer reaches.  Each row has
+#: a single final state and no violation; the census agreed between the
+#: optimal explorer and the earlier sleep-set + state-caching explorer.
+PINNED = {
+    ("banking", "withdraw-race-3", "SNAPSHOT"): (
+        {
+            (
+                ((), (("acct_ch", 0, (("bal", 0),)), ("acct_sav", 0, (("bal", 0),))), ()),
+                (("W1", "committed"), ("W2", "committed"), ("W3", "committed")),
+            )
+        },
+        set(),
+    ),
+    ("mvcc-stress", "long-reader", "SNAPSHOT"): (
+        {
+            (
+                ((), (("acct_ch", 0, (("bal", 3),)), ("acct_sav", 0, (("bal", 1),))), ()),
+                (("A", "committed"), ("T1", "committed"), ("T2", "committed")),
+            )
+        },
+        set(),
+    ),
+    ("mvcc-stress", "version-bloat", "SNAPSHOT"): (
+        {
+            (
+                ((), (("acct_ch", 0, (("bal", 5),)), ("acct_sav", 0, (("bal", 3),))), ()),
+                (("A", "committed"), ("C1", "committed"), ("C2", "committed")),
+            )
+        },
+        set(),
+    ),
+}
+
 LEVELS = ("READ COMMITTED", "REPEATABLE READ", "SNAPSHOT")
 
 
@@ -53,7 +87,7 @@ def run(scen, level, **kwargs):
 def final_states(result):
     return {
         (
-            _state_token(schedule.final),
+            schedule.final.canonical(),
             tuple(sorted((o.name, o.status) for o in schedule.outcomes)),
         )
         for schedule in result.results
@@ -74,15 +108,10 @@ def violation_summaries(scen, result):
 def test_small_scenarios_agree_with_unpruned_dfs(app, name, level):
     scen = scenario(app, name)
     full = run(scen, level, pruning=False)
-    lite = run(scen, level, dpor="lite")
-    optimal = run(scen, level, dpor="optimal")
+    optimal = run(scen, level)
     assert not full.truncated
-    truth = final_states(full)
-    assert final_states(lite) == truth
-    assert final_states(optimal) == truth
-    witnesses = violation_summaries(scen, full)
-    assert violation_summaries(scen, lite) == witnesses
-    assert violation_summaries(scen, optimal) == witnesses
+    assert final_states(optimal) == final_states(full)
+    assert violation_summaries(scen, optimal) == violation_summaries(scen, full)
     assert optimal.runs <= full.runs
 
 
@@ -91,9 +120,15 @@ def test_small_scenarios_agree_with_unpruned_dfs(app, name, level):
 )
 def test_large_scenarios_agree_across_pruning_modes(app, name, level):
     scen = scenario(app, name)
-    lite = run(scen, level, dpor="lite")
-    optimal = run(scen, level, dpor="optimal")
-    assert not lite.truncated and not optimal.truncated
-    assert final_states(optimal) == final_states(lite)
-    assert violation_summaries(scen, optimal) == violation_summaries(scen, lite)
-    assert optimal.runs < lite.runs  # the reduction must actually reduce
+    optimal = run(scen, level)
+    assert not optimal.truncated
+    pinned = PINNED.get((app, name, level))
+    if pinned is not None:
+        states, violations = pinned
+    else:
+        full = run(scen, level, pruning=False)
+        assert not full.truncated
+        states, violations = final_states(full), violation_summaries(scen, full)
+        assert optimal.runs < full.runs  # the reduction must actually reduce
+    assert final_states(optimal) == states
+    assert violation_summaries(scen, optimal) == violations

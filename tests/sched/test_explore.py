@@ -1,10 +1,10 @@
-"""Tests for exhaustive schedule exploration (source-set DPOR and lite)."""
+"""Tests for exhaustive schedule exploration (source-set DPOR and plain DFS)."""
 
 from repro.core.program import Read, TransactionType, Write
 from repro.core.state import DbState
 from repro.core.terms import Item, Local
-from repro.sched.explore import Explorer, explore, state_fingerprint
-from repro.sched.simulator import InstanceSpec, Simulator
+from repro.sched.explore import explore
+from repro.sched.simulator import InstanceSpec
 
 
 def incrementer(item="x"):
@@ -33,7 +33,7 @@ def final_states(result):
 
 class TestPruning:
     def test_pruned_visits_fewer_schedules_than_unpruned_dfs(self):
-        """Acceptance: DPOR-lite pruning measurably shrinks the DFS."""
+        """Acceptance: DPOR pruning measurably shrinks the DFS."""
         initial = DbState(items={"x": 0})
         specs = specs_for(["x", "x"])
         full = explore(initial.copy(), specs, pruning=False)
@@ -48,9 +48,8 @@ class TestPruning:
         initial = DbState(items={"x": 0, "y": 0})
         specs = specs_for(["x", "y"], level="SERIALIZABLE")
         full = explore(initial.copy(), specs, pruning=False)
-        pruned = explore(initial.copy(), specs, pruning=True, dpor="lite")
+        pruned = explore(initial.copy(), specs, pruning=True)
         assert pruned.runs < full.runs
-        assert pruned.pruned_sleep + pruned.pruned_state > 0
         assert final_states(pruned) == final_states(full)
 
     def test_disjoint_instances_race_free_under_dpor(self):
@@ -58,18 +57,10 @@ class TestPruning:
         initial = DbState(items={"x": 0, "y": 0})
         specs = specs_for(["x", "y"], level="SERIALIZABLE")
         full = explore(initial.copy(), specs, pruning=False)
-        optimal = explore(initial.copy(), specs, dpor="optimal")
+        optimal = explore(initial.copy(), specs)
         assert optimal.runs == 1
         assert optimal.reversals == 0
         assert final_states(optimal) == final_states(full)
-
-    def test_optimal_never_explores_more_runs_than_lite(self):
-        initial = DbState(items={"x": 0})
-        specs = specs_for(["x", "x"])
-        lite = explore(initial.copy(), specs, dpor="lite")
-        optimal = explore(initial.copy(), specs, dpor="optimal")
-        assert optimal.runs <= lite.runs
-        assert final_states(optimal) == final_states(lite)
 
     def test_lost_update_is_reached_at_read_committed(self):
         initial = DbState(items={"x": 0})
@@ -115,7 +106,6 @@ class TestBounds:
             "runs",
             "schedules",
             "pruned_sleep",
-            "pruned_state",
             "races",
             "reversals",
             "truncated_depth",
@@ -126,7 +116,6 @@ class TestBounds:
         initial = DbState(items={"x": 0})
         specs = specs_for(["x", "x"])
         assert explore(initial.copy(), specs).to_dict()["mode"] == "optimal"
-        assert explore(initial.copy(), specs, dpor="lite").to_dict()["mode"] == "lite"
         assert (
             explore(initial.copy(), specs, pruning=False).to_dict()["mode"] == "none"
         )
@@ -139,7 +128,7 @@ class TestBounds:
         )
         assert result.schedules == 0
         assert result.truncated_depth == result.runs > 0
-        assert result.pruned_sleep == 0 and result.pruned_state == 0
+        assert result.pruned_sleep == 0
 
     def test_max_schedules_one_runs_exactly_once(self):
         initial = DbState(items={"x": 0})
@@ -157,7 +146,7 @@ class TestBounds:
             result = explore(initial.copy(), specs_for(["x"]), pruning=pruning)
             assert result.schedules == 1
             assert result.runs == 1
-            assert result.pruned_sleep == 0 and result.pruned_state == 0
+            assert result.pruned_sleep == 0
             assert not result.truncated and result.truncated_depth == 0
             (finals,) = final_states(result)
             assert finals == ((("x", 1),), ("T0",))
@@ -165,20 +154,21 @@ class TestBounds:
 
 class TestParallelFanOut:
     def test_workers_agree_with_sequential(self):
+        """The unpruned DFS is sequential: workers change nothing."""
         initial = DbState(items={"x": 0})
         specs = specs_for(["x", "x"])
-        sequential = explore(initial.copy(), specs, dpor="lite", workers=1)
-        fanned = explore(initial.copy(), specs, dpor="lite", workers=4)
+        sequential = explore(initial.copy(), specs, pruning=False, workers=1)
+        fanned = explore(initial.copy(), specs, pruning=False, workers=4)
         assert final_states(fanned) == final_states(sequential)
-        assert fanned.schedules == sequential.schedules
+        assert (fanned.runs, fanned.schedules) == (sequential.runs, sequential.schedules)
 
     def test_optimal_workers_reach_the_same_states(self):
         """Frontier stealing may race sibling launches, so worker runs can
         exceed the sequential count — but never lose an outcome."""
         initial = DbState(items={"x": 0})
         specs = specs_for(["x", "x"])
-        sequential = explore(initial.copy(), specs, dpor="optimal", workers=1)
-        fanned = explore(initial.copy(), specs, dpor="optimal", workers=4)
+        sequential = explore(initial.copy(), specs, workers=1)
+        fanned = explore(initial.copy(), specs, workers=4)
         assert final_states(fanned) == final_states(sequential)
         assert fanned.schedules >= sequential.schedules
 
@@ -219,21 +209,3 @@ class TestObservers:
         )
         assert count[0] == result.schedules
 
-
-class TestFingerprint:
-    def test_identical_states_share_a_fingerprint(self):
-        specs = specs_for(["x", "x"])
-        sims = []
-        for _ in range(2):
-            sim = Simulator(DbState(items={"x": 0}), specs, script=[0, 0, 0])
-            sim.run()
-            sims.append(sim)
-        assert state_fingerprint(sims[0]) == state_fingerprint(sims[1])
-
-    def test_different_schedules_differ(self):
-        specs = specs_for(["x", "x"])
-        a = Simulator(DbState(items={"x": 0}), specs, script=[0, 0, 0])
-        a.run()
-        b = Simulator(DbState(items={"x": 0}), specs, script=[1, 1, 1])
-        b.run()
-        assert state_fingerprint(a) != state_fingerprint(b)

@@ -6,13 +6,13 @@ from repro.core.program import Read, TransactionType, Write
 from repro.core.state import DbState
 from repro.core.terms import Item, Local
 from repro.errors import ScheduleError
+from repro.sched.dpor import RaceAnalyzer, accesses_conflict
 from repro.sched.policy import (
     DEPENDENT,
     ExhaustivePolicy,
     RandomPolicy,
     ReplayPolicy,
-    independent,
-    op_signature,
+    StepRecord,
 )
 from repro.sched.simulator import InstanceSpec, Simulator
 
@@ -105,27 +105,33 @@ class TestReplayPolicy:
             ReplayPolicy([0], on_exhausted="explode")
 
 
-class TestSignatures:
-    def run_history(self, specs, script):
-        sim = Simulator(DbState(items={"x": 0, "y": 0}), specs, script=script)
-        sim.run()
-        return sim.engine.history
+def exhaustive(**kwargs):
+    """An ExhaustivePolicy over the explorer's level-aware signatures."""
+    analyzer = RaceAnalyzer(two_incrementers())
+    return ExhaustivePolicy(
+        signature_fn=analyzer.online_signature, conflict=accesses_conflict, **kwargs
+    )
 
+
+class TestSignatures:
     def test_read_and_write_signatures_conflict_on_same_item(self):
         read_sig = frozenset({(("item", "x"), False)})
         write_sig = frozenset({(("item", "x"), True)})
-        assert independent(read_sig, frozenset({(("item", "y"), True)}))
-        assert not independent(read_sig, write_sig)
-        assert independent(read_sig, frozenset({(("item", "x"), False)}))
-
-    def test_commit_is_dependent_on_everything(self):
-        history = self.run_history(two_incrementers(), [0, 0, 0])
-        commit_ops = [op for op in history if op.kind == "commit"]
-        assert op_signature(commit_ops) == DEPENDENT
-        assert not independent(DEPENDENT, frozenset())
+        assert not accesses_conflict(read_sig, frozenset({(("item", "y"), True)}))
+        assert accesses_conflict(read_sig, write_sig)
+        assert not accesses_conflict(read_sig, frozenset({(("item", "x"), False)}))
 
     def test_empty_slice_is_dependent(self):
-        assert op_signature([]) == DEPENDENT
+        class Runtime:
+            index = 0
+            txn = None
+            spec = two_incrementers()[0]
+            blocked = False
+            last_block = None
+
+        signature = RaceAnalyzer(two_incrementers()).online_signature(Runtime(), [])
+        assert accesses_conflict(signature, frozenset({(("item", "y"), False)}))
+        assert accesses_conflict(DEPENDENT, frozenset())
 
     def test_table_and_row_keys_coarsen_to_table_granule(self):
         class Op:
@@ -133,21 +139,27 @@ class TestSignatures:
                 self.kind = kind
                 self.key = key
 
-        sig_row = op_signature([Op("w", ("row", "orders", 3))])
-        sig_table = op_signature([Op("r", ("table", "orders"))])
-        assert not independent(sig_row, sig_table)
+        analyzer = RaceAnalyzer(two_incrementers())
+
+        def accesses(op):
+            record = StepRecord(0, 0, 1, "READ COMMITTED", (op,))
+            return analyzer.step_accesses(record, {}, order_begins=False)
+
+        sig_row = accesses(Op("w", ("row", "orders", 3)))
+        sig_table = accesses(Op("r", ("table", "orders")))
+        assert accesses_conflict(sig_row, sig_table)
 
 
 class TestExhaustivePolicy:
     def test_prefix_is_followed_verbatim(self):
-        policy = ExhaustivePolicy(prefix=[1, 0, 1])
+        policy = exhaustive(prefix=[1, 0, 1])
         result = Simulator(
             DbState(items={"x": 0}), two_incrementers(), policy=policy
         ).run()
         assert result.script[:3] == [1, 0, 1]
 
     def test_extends_deterministically_lowest_first(self):
-        policy = ExhaustivePolicy()
+        policy = exhaustive()
         result = Simulator(
             DbState(items={"x": 0}), two_incrementers(), policy=policy
         ).run()
@@ -156,7 +168,7 @@ class TestExhaustivePolicy:
         assert [frame.choice for frame in policy.frames] == result.script
 
     def test_max_depth_stops_run(self):
-        policy = ExhaustivePolicy(max_depth=2)
+        policy = exhaustive(max_depth=2)
         result = Simulator(
             DbState(items={"x": 0}), two_incrementers(), policy=policy
         ).run()
@@ -164,25 +176,13 @@ class TestExhaustivePolicy:
         assert len(result.script) == 2
 
     def test_frames_record_enabled_sets_and_signatures(self):
-        policy = ExhaustivePolicy()
+        policy = exhaustive()
         Simulator(DbState(items={"x": 0}), two_incrementers(), policy=policy).run()
         first = policy.frames[0]
         assert first.enabled == (0, 1)
         index, signature = first.tried[0]
         assert index == 0
-        # the first step begins a transaction: it reads x and claims a slot
-        # in the global begin order (deadlock victims depend on it)
-        assert signature == frozenset(
-            {(("item", "x"), False), (("<txn-order>",), True)}
-        )
-
-    def test_visited_state_stops_run(self):
-        class AlwaysSeen:
-            def seen(self, fingerprint, sleep):
-                return True
-
-        policy = ExhaustivePolicy(
-            prefix=[0], visited=AlwaysSeen(), fingerprint=lambda sim: "fp"
-        )
-        Simulator(DbState(items={"x": 0}), two_incrementers(), policy=policy).run()
-        assert policy.stop_reason == "state"
+        # the first step begins a transaction and reads x; two READ
+        # COMMITTED incrementers cannot deadlock, so begin order is not an
+        # access (only deadlock victim selection could observe it)
+        assert signature == frozenset({(("item", "x"), False)})

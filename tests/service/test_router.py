@@ -241,6 +241,31 @@ class TestFleetEndToEnd:
         fleet_test(handler)
 
 
+class TestFleetBoot:
+    def test_taken_port_terminates_the_spawned_workers(self):
+        async def main():
+            blocker = await asyncio.start_server(lambda r, w: None, "127.0.0.1", 0)
+            port = blocker.sockets[0].getsockname()[1]
+            router = FleetRouter(
+                FleetConfig(
+                    port=port, fleet=1,
+                    worker=ServiceConfig(port=0, no_persist=True, workers=1),
+                )
+            )
+            try:
+                with pytest.raises(OSError):
+                    await router.start()
+                (worker,) = router.workers
+                code = await asyncio.wait_for(worker.process.wait(), timeout=30)
+                assert code is not None
+                await worker.close()
+            finally:
+                blocker.close()
+                await blocker.wait_closed()
+
+        asyncio.run(main())
+
+
 class TestFleetConfigValidation:
     @pytest.mark.parametrize(
         ("kwargs", "fragment"),

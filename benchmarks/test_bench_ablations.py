@@ -37,11 +37,7 @@ class TestTierAblation:
         }
         out = {}
         for label, kwargs in configs.items():
-            # use_sdg=False: this ablation measures the checker's own tiers,
-            # so SDG pre-pruning must not intercept the disjoint obligations
-            checker = InterferenceChecker(
-                app.spec, budget=4000, seed=1, use_sdg=False, **kwargs
-            )
+            checker = InterferenceChecker(app.spec, budget=4000, seed=1, **kwargs)
             start = time.perf_counter()
             result = check_transaction_at(
                 app, app.transaction("Withdraw_sav"), SNAPSHOT, checker

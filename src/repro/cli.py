@@ -164,7 +164,6 @@ def cmd_analyze(args) -> int:
         seed=args.seed,
         ladder=args.ladder,
         snapshot=args.snapshot,
-        use_sdg=not args.no_sdg,
         transaction=args.transaction or None,
         level=args.level or None,
     )
@@ -218,7 +217,6 @@ def cmd_certify(args) -> int:
         budget=args.budget,
         seed=args.seed,
         ladder=args.ladder,
-        use_sdg=not args.no_sdg,
         max_schedules=args.max_schedules,
         max_depth=args.max_depth,
     )
@@ -704,7 +702,6 @@ def _submit_options(args) -> dict:
         "budget": args.budget,
         "seed": args.seed,
         "ladder": args.ladder,
-        "use_sdg": not args.no_sdg,
     }
     if args.kind == "analyze":
         options["snapshot"] = args.snapshot
@@ -878,11 +875,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="never load or write the persistent verdict cache",
     )
     analyze.add_argument(
-        "--no-sdg", action="store_true",
-        help="disable SDG obligation pre-pruning (verdicts are identical;"
-        " every obligation goes through the checker tiers)",
-    )
-    analyze.add_argument(
         "--stats", action="store_true",
         help="print the per-tier timing and cache hit/miss table",
     )
@@ -918,10 +910,6 @@ def build_parser() -> argparse.ArgumentParser:
     certify.add_argument(
         "--max-depth", type=int, default=None,
         help="scheduling-decision budget per explored run",
-    )
-    certify.add_argument(
-        "--no-sdg", action="store_true",
-        help="disable SDG obligation pre-pruning in the static layer",
     )
     certify.add_argument(
         "--cache-dir", nargs="?", const=".repro-cache", default=None, metavar="DIR",
@@ -1182,7 +1170,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--level", help="analyze at one level (with --transaction)")
     submit.add_argument("--max-schedules", type=int, default=500)
     submit.add_argument("--max-depth", type=int, default=None)
-    submit.add_argument("--no-sdg", action="store_true")
     submit.add_argument(
         "--pairs", type=int, default=3,
         help="probe instance sets per fuzz case (fuzz jobs only)",

@@ -512,10 +512,6 @@ def discharge(
 
     if policy is None:
         policy = ParallelPolicy(workers=checker.workers)
-    if getattr(checker, "use_sdg", True):
-        from repro.core import sdg
-
-        checker.stats["sdg_pruned"] = checker.stats.get("sdg_pruned", 0) + sdg.prune_plan(specs)
     live = [index for index, spec in enumerate(specs) if spec.excused is None]
     stopped = None
     if policy.workers > 1 and policy.backend == PROCESS_BACKEND and policy.app_ref:

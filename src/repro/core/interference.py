@@ -35,7 +35,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Sequence
 
 from repro.core import effects as fx
 from repro.core.cache import FORMULA_SCOPE, FULL_SCOPE, VerdictCache, fingerprint_many
@@ -281,9 +281,9 @@ def _event_undo(event: TraceEvent) -> tuple:
     """The event's undo recipe, diffed once and cached on the event.
 
     Rollback scenarios replay the same event's inverse against many
-    states; diffing the full snapshots each time (the old ``_restore``)
-    was a top-three BMC cost.  The recipe is a pure function of the
-    immutable ``before``/``after`` snapshots.
+    states; diffing the full snapshots each time was a top-three BMC
+    cost.  The recipe is a pure function of the immutable
+    ``before``/``after`` snapshots.
     """
     recipe = event.undo
     if recipe is None:
@@ -360,11 +360,6 @@ def _apply_undo(current: DbState, recipe: tuple) -> None:
             current.delete_rows(table, _once_matcher(dict(key)))
         for key in removed:
             current.insert_row(table, dict(key))
-
-
-def _restore(current: DbState, after: DbState, before: DbState) -> None:
-    """Apply the inverse of the ``before -> after`` delta onto ``current``."""
-    _apply_undo(current, _undo_recipe(before, after))
 
 
 def _once_matcher(row: dict):
@@ -446,8 +441,64 @@ def _concrete_write_targets(
 
 
 # ---------------------------------------------------------------------------
+# identity-keyed memo tables
+# ---------------------------------------------------------------------------
+
+#: What :meth:`IdentityMemo.get` returns for a key it does not hold.
+MISS = object()
+
+
+class IdentityMemo:
+    """A capped memo table whose key holds up to two objects by identity.
+
+    A key is ``(a, b, extra)``: ``a`` and ``b`` are matched with ``is`` (for
+    states, environments and other objects that are unhashable or costly to
+    hash), ``extra`` is any hashable matched by value.  Every entry keeps
+    strong references to ``a`` and ``b``, so their ids cannot be reused by
+    another object while the entry lives.  Past ``cap`` entries, new results
+    are returned but no longer stored.
+    """
+
+    __slots__ = ("cap", "_entries")
+
+    def __init__(self, cap: int) -> None:
+        self.cap = cap
+        self._entries: dict = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, a, b=None, extra=None):
+        """The value stored under ``(a, b, extra)``, else :data:`MISS`."""
+        entry = self._entries.get((id(a), id(b), extra))
+        if entry is not None and entry[0] is a and entry[1] is b:
+            return entry[2]
+        return MISS
+
+    def put(self, value, a, b=None, extra=None):
+        """Store ``value`` under ``(a, b, extra)`` unless full; returns it."""
+        if len(self._entries) < self.cap:
+            self._entries[(id(a), id(b), extra)] = (a, b, value)
+        return value
+
+
+# ---------------------------------------------------------------------------
 # the checker
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Triple:
+    """The mode-specific inputs of one interference triple's tier ladder.
+
+    ``written`` is the write surface tier 1 compares with the assertion's
+    resources, ``symbolic`` runs tier 2 (None when it cannot decide) and
+    ``bmc`` holds the tier-3 mode keyword arguments.
+    """
+
+    written: frozenset
+    symbolic: Callable[[], InterferenceVerdict | None]
+    bmc: dict
 
 
 class InterferenceChecker:
@@ -467,7 +518,6 @@ class InterferenceChecker:
         unroll: int = fx.DEFAULT_UNROLL,
         use_disjoint: bool = True,
         use_symbolic: bool = True,
-        use_sdg: bool = True,
         cache: VerdictCache | None = None,
         workers: int = 1,
     ) -> None:
@@ -480,12 +530,6 @@ class InterferenceChecker:
         #: disabled tiers simply push obligations to the next tier down
         self.use_disjoint = use_disjoint
         self.use_symbolic = use_symbolic
-        #: SDG pre-pruning (see :func:`repro.core.sdg.prune_plan`): excuse
-        #: footprint-disjoint obligations before dispatch.  Deliberately
-        #: absent from :meth:`config_dict` and the cache fingerprint — the
-        #: pruned obligations are exactly the ones tier 1 would prove, so
-        #: verdicts (and therefore cache entries) are identical either way
-        self.use_sdg = use_sdg
         #: verdict cache — private per checker by default, so one analysis
         #: run shares verdicts across its levels and targets without leaking
         #: tier accounting into an unrelated run; pass
@@ -498,7 +542,6 @@ class InterferenceChecker:
             "symbolic": 0,
             "bmc": 0,
             "assumed": 0,
-            "sdg_pruned": 0,
             "cache_hits": 0,
             "cache_misses": 0,
         }
@@ -510,17 +553,17 @@ class InterferenceChecker:
         self.latency_observer = None
         self._config_key: str | None = None
         self._state_cache: tuple | None = None
-        self._trace_memo: dict = {}
-        self._eval_memo: dict = {}
-        self._proj_key_memo: dict = {}
-        self._args_key_memo: dict = {}
-        self._unit_memo: dict = {}
-        self._stmt_memo: dict = {}
-        self._swt_memo: dict = {}
-        self._overlap_memo: dict = {}
-        self._pos_memo: dict = {}
+        #: exhaustive assignment spaces by parameter tuple (see
+        #: :meth:`_assignment_space`); bounded by the application's types
         self._space_memo: dict = {}
-        self._combined_memo: dict = {}
+        # BMC memo tables; the caps bound memory on large scans
+        self._trace_memo = IdentityMemo(200_000)
+        self._eval_memo = IdentityMemo(2_000_000)
+        self._proj_key_memo = IdentityMemo(1_000_000)
+        self._unit_memo = IdentityMemo(200_000)
+        self._overlap_memo = IdentityMemo(100_000)
+        self._combined_memo = IdentityMemo(500_000)
+        self._stmt_memo = IdentityMemo(200_000)
 
     def config_dict(self) -> dict:
         """Picklable constructor kwargs for rebuilding this checker elsewhere."""
@@ -551,8 +594,8 @@ class InterferenceChecker:
         assumption: Formula,
         formula_extra: tuple = (),
         full_extra: tuple = (),
-    ) -> tuple:
-        """The two cache keys of one obligation.
+    ) -> tuple | None:
+        """The two cache keys of one obligation (None with the cache off).
 
         The *formula* key identifies everything the target-independent tiers
         (disjointness, symbolic) look at: assertion formula, source program,
@@ -560,6 +603,8 @@ class InterferenceChecker:
         *full* key extends it with the target and the assertion's activation
         data (kind, read statement), which is what the BMC trace depends on.
         """
+        if not self.cache.enabled:
+            return None
         formula_key = fingerprint_many(
             kind, assertion.formula, source, assumption,
             *formula_extra, self._config_fingerprint(),
@@ -569,33 +614,60 @@ class InterferenceChecker:
         )
         return formula_key, full_key
 
-    def _cached_check(self, keys: tuple | None, decide):
-        """Run ``decide`` through the verdict cache.
+    def _check(
+        self,
+        keys: tuple | None,
+        target: TransactionType,
+        assertion: CriticalAssertion,
+        source: TransactionType,
+        assumption: Formula,
+        triple: _Triple,
+    ) -> InterferenceVerdict:
+        """Answer one obligation from the verdict cache, else decide it.
 
-        ``decide`` returns ``(verdict, scope)``; the verdict is stored under
-        the formula- or full-scope key according to which tier decided it.
+        A decided verdict is stored under the formula- or full-scope key
+        according to which tier decided it.
         """
-        if keys is None or not self.cache.enabled:
-            verdict, _scope = self._observed_decide(decide)
-            return verdict
-        formula_key, full_key = keys
-        cached = self.cache.lookup(formula_key, full_key)
-        if cached is not None:
-            self.stats["cache_hits"] += 1
-            return cached
-        self.stats["cache_misses"] += 1
-        verdict, scope = self._observed_decide(decide)
-        self.cache.store(scope, formula_key if scope == FORMULA_SCOPE else full_key, verdict)
+        if keys is not None:
+            cached = self.cache.lookup(*keys)
+            if cached is not None:
+                self.stats["cache_hits"] += 1
+                return cached
+            self.stats["cache_misses"] += 1
+        start = time.perf_counter()
+        verdict, scope = self._decide(target, assertion, source, assumption, triple)
+        if self.latency_observer is not None:
+            self.latency_observer(time.perf_counter() - start)
+        if keys is not None:
+            self.cache.store(scope, keys[0] if scope == FORMULA_SCOPE else keys[1], verdict)
         return verdict
 
-    def _observed_decide(self, decide):
-        if self.latency_observer is None:
-            return decide()
-        start = time.perf_counter()
-        try:
-            return decide()
-        finally:
-            self.latency_observer(time.perf_counter() - start)
+    def _decide(
+        self,
+        target: TransactionType,
+        assertion: CriticalAssertion,
+        source: TransactionType,
+        assumption: Formula,
+        triple: _Triple,
+    ) -> tuple:
+        """Run the tiers in order until one decides; ``(verdict, scope)``.
+
+        Tiers 1 and 2 read only formula-scope inputs, so their verdicts are
+        shared across targets; a BMC verdict depends on the target's traces.
+        """
+        tiers = (
+            ("disjoint", lambda: self._disjoint(assertion.formula, triple.written)),
+            ("symbolic", triple.symbolic if self.use_symbolic else lambda: None),
+            ("bmc", lambda: self._bmc(target, assertion, source, assumption, **triple.bmc)),
+        )
+        for tier, attempt in tiers:
+            start = time.perf_counter()
+            verdict = attempt()
+            self.tier_times[tier] += time.perf_counter() - start
+            if verdict is not None:
+                break
+        self.stats["assumed" if verdict.confidence == ASSUMED else tier] += 1
+        return verdict, FULL_SCOPE if tier == "bmc" else FORMULA_SCOPE
 
     def _cached_states(self, rng: random.Random) -> tuple:
         """Materialise the constraint-filtered state list once per checker.
@@ -614,19 +686,14 @@ class InterferenceChecker:
 
         Obligations share the same (state, argument) scenarios; traces are
         pure given those inputs, so they are computed once per checker.
-        Keyed by state identity — valid because the cached state list is
-        stable — and the transaction's name (renamed partner instances get
-        distinct names only via the `!2` suffixed parameters, so the
-        argument tuple disambiguates them).
+        Keyed by the identity of the state and of the argument dict (both
+        identity-stable: cached states, cached assignment spaces) and the
+        transaction's name.
         """
-        key = (txn.name, self._args_key(args), id(state0))
-        cached = self._trace_memo.get(key)
-        if cached is not None:
-            return cached
-        result = trace(txn, state0.fork(), args)
-        if len(self._trace_memo) < 200_000:
-            self._trace_memo[key] = result
-        return result
+        cached = self._trace_memo.get(state0, args, txn.name)
+        if cached is MISS:
+            cached = self._trace_memo.put(trace(txn, state0.fork(), args), state0, args, txn.name)
+        return cached
 
     def _memo_holds(self, formula, state, env) -> bool:
         """`_holds` memoised over trace-cached states.
@@ -634,12 +701,11 @@ class InterferenceChecker:
         Scenario loops re-evaluate the same (assertion, state, env)
         combination for every partner argument assignment; formula
         evaluation (nested quantifiers, COUNT aggregates) dominates BMC
-        cost, so this cache is the main lever.  The formula itself is part
-        of the key (hash-consing makes hashing it an O(1) cached lookup and
-        keeps it alive, so its entry can never alias another formula);
-        states come from identity-stable caches.  Environments with
-        unhashable values (none in practice — buffers are packed as
-        tuples) fall back to direct evaluation.
+        cost, so this cache is the main lever.  States and formulas are
+        keyed by identity (the scan's formulas are the transactions' own
+        objects); environments by their projection onto the formula.
+        Environments with unhashable values (none in practice — buffers are
+        packed as tuples) fall back to direct evaluation.
         """
         return self._memo_holds_keyed(formula, state, env, self._env_key(formula, env))
 
@@ -652,12 +718,9 @@ class InterferenceChecker:
         """
         if env_key is None:
             return _holds(formula, state, env)
-        key = (formula, id(state), env_key)
-        cached = self._eval_memo.get(key)
-        if cached is None:
-            cached = _holds(formula, state, env)
-            if len(self._eval_memo) < 2_000_000:
-                self._eval_memo[key] = cached
+        cached = self._eval_memo.get(state, formula, env_key)
+        if cached is MISS:
+            cached = self._eval_memo.put(_holds(formula, state, env), state, formula, env_key)
         return cached
 
     def _env_key(self, formula, env):
@@ -668,14 +731,12 @@ class InterferenceChecker:
         parameters collapses to one entry per state no matter how many
         partner-argument environments probe it.  Opaque evaluators
         (:class:`~repro.core.formula.AbstractPred` trees) key on the whole
-        environment.  Memoised per (formula, env) identity (entries keep
-        strong references and are re-verified, so id reuse cannot alias);
-        returns None when the environment holds unhashable values.
+        environment.  Returns None when the environment holds unhashable
+        values.
         """
-        pkey = (id(formula), id(env))
-        entry = self._proj_key_memo.get(pkey)
-        if entry is not None and entry[0] is formula and entry[1] is env:
-            return entry[2]
+        env_key = self._proj_key_memo.get(formula, env)
+        if env_key is not MISS:
+            return env_key
         try:
             if formula.projectable():
                 atoms = formula.atom_set()
@@ -686,39 +747,7 @@ class InterferenceChecker:
                 env_key = frozenset(env.items())
         except TypeError:
             env_key = None
-        if len(self._proj_key_memo) < 1_000_000:
-            self._proj_key_memo[pkey] = (formula, env, env_key)
-        return env_key
-
-    def _args_key(self, args: dict) -> tuple:
-        """``tuple(sorted(args.items()))``, memoised by dict identity."""
-        entry = self._args_key_memo.get(id(args))
-        if entry is not None and entry[0] is args:
-            return entry[1]
-        key = tuple(sorted(args.items()))
-        if len(self._args_key_memo) < 500_000:
-            self._args_key_memo[id(args)] = (args, key)
-        return key
-
-    def _static_targets(self, txn: TransactionType) -> list:
-        """:func:`static_write_targets`, memoised per transaction type."""
-        entry = self._swt_memo.get(id(txn))
-        if entry is not None and entry[0] is txn:
-            return entry[1]
-        targets = static_write_targets(txn)
-        if len(self._swt_memo) < 10_000:
-            self._swt_memo[id(txn)] = (txn, targets)
-        return targets
-
-    def _stmt_written(self, stmt: Statement) -> frozenset:
-        """``stmt.written_resources()``, memoised per statement."""
-        entry = self._swt_memo.get(("wr", id(stmt)))
-        if entry is not None and entry[0] is stmt:
-            return entry[1]
-        written = stmt.written_resources()
-        if len(self._swt_memo) < 10_000:
-            self._swt_memo[("wr", id(stmt))] = (stmt, written)
-        return written
+        return self._proj_key_memo.put(env_key, formula, env)
 
     def _res_overlaps(self, res: frozenset, stmt: Statement) -> bool:
         """Whether ``stmt``'s written footprint overlaps ``res``, memoised.
@@ -728,13 +757,11 @@ class InterferenceChecker:
         identity-stable (resources are cached on the interned formula), so
         the symbolic overlap test runs once per distinct pair.
         """
-        key = (id(res), id(stmt))
-        entry = self._overlap_memo.get(key)
-        if entry is not None and entry[0] is res and entry[1] is stmt:
-            return entry[2]
-        result = overlaps(res, self._stmt_written(stmt))
-        if len(self._overlap_memo) < 100_000:
-            self._overlap_memo[key] = (res, stmt, result)
+        result = self._overlap_memo.get(res, stmt)
+        if result is MISS:
+            result = self._overlap_memo.put(
+                overlaps(res, stmt.written_resources()), res, stmt
+            )
         return result
 
     def _assignment_space(self, params: tuple, rng: random.Random) -> tuple:
@@ -743,47 +770,30 @@ class InterferenceChecker:
         Exhaustive spaces enumerate deterministically (``itertools.product``,
         no rng draws), so their materialisation is cached: the env and args
         dicts become identity-stable across every scan of the run, which is
-        what the identity-keyed projection/args/trace memos feed on.  Sampled
-        spaces stay uncached so each scan keeps drawing fresh cases.
-        Returns ``(pairs, exhaustive)``.
+        what the identity-keyed projection, combined-env and trace memos
+        feed on.  Sampled spaces stay uncached so each scan keeps drawing
+        fresh cases.  Returns ``(pairs, exhaustive)``.
         """
-        key = tuple(id(param) for param in params)
-        entry = self._space_memo.get(key)
-        if entry is not None and all(a is b for a, b in zip(entry[0], params)):
-            return entry[1], True
+        pairs = self._space_memo.get(params)
+        if pairs is not None:
+            return pairs, True
         space = iter_assignments(list(params), self.spec, 512, rng)
         pairs = [
             (env, {param.name: value for param, value in env.items()})
             for env in space
         ]
-        if not space.exhaustive:
-            return pairs, False
-        if len(self._space_memo) < 10_000:
-            self._space_memo[key] = (params, pairs)
-        return pairs, True
+        if space.exhaustive:
+            self._space_memo[params] = pairs
+        return pairs, space.exhaustive
 
     def _combined_env(self, target_env: dict, source_env: dict) -> dict:
         """The merged scan environment, memoised by operand identity."""
-        key = (id(target_env), id(source_env))
-        entry = self._combined_memo.get(key)
-        if entry is not None and entry[0] is target_env and entry[1] is source_env:
-            return entry[2]
-        combined = dict(target_env)
-        combined.update(source_env)
-        if len(self._combined_memo) < 500_000:
-            self._combined_memo[key] = (target_env, source_env, combined)
+        combined = self._combined_memo.get(target_env, source_env)
+        if combined is MISS:
+            combined = self._combined_memo.put(
+                {**target_env, **source_env}, target_env, source_env
+            )
         return combined
-
-    def _positions(self, assertion: CriticalAssertion, trace_obj: Trace) -> list:
-        """:func:`_activation_positions`, memoised per (assertion, trace)."""
-        key = (id(assertion), id(trace_obj))
-        entry = self._pos_memo.get(key)
-        if entry is not None and entry[0] is assertion and entry[1] is trace_obj:
-            return entry[2]
-        positions = list(_activation_positions(assertion, trace_obj))
-        if len(self._pos_memo) < 500_000:
-            self._pos_memo[key] = (assertion, trace_obj, positions)
-        return positions
 
     def _memo_unit_final(self, source: TransactionType, state0: DbState, args: dict):
         """Final state of ``source`` run atomically from ``state0``, memoised.
@@ -793,44 +803,33 @@ class InterferenceChecker:
         deterministic, so the final state is computed once.  Returns None
         when the run raises :class:`EvaluationError`.
         """
-        key = (source.name, self._args_key(args), id(state0))
-        if key in self._unit_memo:
-            return self._unit_memo[key]
+        final = self._unit_memo.get(state0, args, source.name)
+        if final is not MISS:
+            return final
         final = state0.fork()
         try:
             source.run(final, args)
         except EvaluationError:
             final = None
-        if len(self._unit_memo) < 200_000:
-            self._unit_memo[key] = final
-        return final
+        return self._unit_memo.put(final, state0, args, source.name)
 
     def _memo_stmt_after(self, stmt: Statement, state: DbState, env: dict):
         """State after ``stmt`` executes on ``state`` under ``env``, memoised.
 
         Dirty-read scenarios inject the same source write into the same
         activation state once per assertion; execution is deterministic, so
-        the result state is shared.  The entry keeps strong references and
-        re-verifies identity, so id reuse cannot alias.  Returns None when
-        execution raises :class:`EvaluationError`.
+        the result state is shared.  Returns None when execution raises
+        :class:`EvaluationError`.
         """
-        key = (id(stmt), id(state), id(env))
-        entry = self._stmt_memo.get(key)
-        if (
-            entry is not None
-            and entry[0] is stmt
-            and entry[1] is state
-            and entry[2] is env
-        ):
-            return entry[3]
+        after = self._stmt_memo.get(state, env, stmt)
+        if after is not MISS:
+            return after
         after = state.fork()
         try:
             stmt.execute(after, dict(env))
         except EvaluationError:
             after = None
-        if len(self._stmt_memo) < 200_000:
-            self._stmt_memo[key] = (stmt, state, env, after)
-        return after
+        return self._stmt_memo.put(after, state, env, stmt)
 
     # -- public checks -------------------------------------------------------
 
@@ -851,44 +850,16 @@ class InterferenceChecker:
         scenarios in which the target reads the source's uncommitted writes
         — legal at READ UNCOMMITTED, impossible at READ COMMITTED and above.
         """
-        keys = None
-        if self.cache.enabled:
-            keys = self._keys(
-                "statement", assertion, target, source, assumption,
-                formula_extra=(stmt,), full_extra=(dirty_reads,),
-            )
-        return self._cached_check(
-            keys,
-            lambda: self._decide_statement(
-                target, assertion, source, stmt, assumption, dirty_reads
-            ),
+        keys = self._keys(
+            "statement", assertion, target, source, assumption,
+            formula_extra=(stmt,), full_extra=(dirty_reads,),
         )
-
-    def _decide_statement(
-        self, target, assertion, source, stmt, assumption, dirty_reads
-    ) -> tuple:
-        start = time.perf_counter()
-        if self.use_disjoint and not overlaps(
-            assertion.formula.resources(), stmt.written_resources()
-        ):
-            self.stats["disjoint"] += 1
-            self.tier_times["disjoint"] += time.perf_counter() - start
-            return InterferenceVerdict(False, PROVED, "disjoint"), FORMULA_SCOPE
-        self.tier_times["disjoint"] += time.perf_counter() - start
-        start = time.perf_counter()
-        if self.use_symbolic:
-            symbolic = self._statement_symbolic(assertion.formula, source, stmt, assumption)
-            if symbolic is not None:
-                self.tier_times["symbolic"] += time.perf_counter() - start
-                return symbolic, FORMULA_SCOPE
-        self.tier_times["symbolic"] += time.perf_counter() - start
-        start = time.perf_counter()
-        verdict = self._bmc(
-            target, assertion, source, mode="statement", stmt=stmt,
-            assumption=assumption, dirty_reads=dirty_reads,
+        triple = _Triple(
+            stmt.written_resources(),
+            lambda: self._statement_symbolic(assertion.formula, source, stmt, assumption),
+            {"mode": "statement", "stmt": stmt, "dirty_reads": dirty_reads},
         )
-        self.tier_times["bmc"] += time.perf_counter() - start
-        return verdict, FULL_SCOPE
+        return self._check(keys, target, assertion, source, assumption, triple)
 
     def check_rollback(
         self,
@@ -898,37 +869,13 @@ class InterferenceChecker:
         assumption: Formula = TRUE,
     ) -> InterferenceVerdict:
         """Theorem 1 obligation: the rollback (undo) writes of ``source``."""
-        keys = None
-        if self.cache.enabled:
-            keys = self._keys("rollback", assertion, target, source, assumption)
-        return self._cached_check(
-            keys,
-            lambda: self._decide_rollback(target, assertion, source, assumption),
+        keys = self._keys("rollback", assertion, target, source, assumption)
+        triple = _Triple(
+            source.written_resources(),
+            lambda: self._rollback_symbolic(assertion.formula, source, assumption),
+            {"mode": "rollback"},
         )
-
-    def _decide_rollback(self, target, assertion, source, assumption) -> tuple:
-        start = time.perf_counter()
-        written = frozenset()
-        for stmt in source.body:
-            written |= stmt.written_resources()
-        if self.use_disjoint and not overlaps(assertion.formula.resources(), written):
-            self.stats["disjoint"] += 1
-            self.tier_times["disjoint"] += time.perf_counter() - start
-            return InterferenceVerdict(False, PROVED, "disjoint"), FORMULA_SCOPE
-        self.tier_times["disjoint"] += time.perf_counter() - start
-        start = time.perf_counter()
-        if self.use_symbolic:
-            symbolic = self._rollback_symbolic(assertion.formula, source, assumption)
-            if symbolic is not None:
-                self.tier_times["symbolic"] += time.perf_counter() - start
-                return symbolic, FORMULA_SCOPE
-        self.tier_times["symbolic"] += time.perf_counter() - start
-        start = time.perf_counter()
-        verdict = self._bmc(
-            target, assertion, source, mode="rollback", assumption=assumption,
-        )
-        self.tier_times["bmc"] += time.perf_counter() - start
-        return verdict, FULL_SCOPE
+        return self._check(keys, target, assertion, source, assumption, triple)
 
     def check_unit(
         self,
@@ -955,44 +902,23 @@ class InterferenceChecker:
         excuse = (
             fcw_excuse_formula(target, source, fcw_targets) if fcw_excuse else FALSE
         )
-        keys = None
-        if self.cache.enabled:
-            keys = self._keys(
-                "unit", assertion, target, source, assumption,
-                formula_extra=(excuse,), full_extra=(fcw_excuse, fcw_targets),
-            )
-        return self._cached_check(
-            keys,
-            lambda: self._decide_unit(
-                target, assertion, source, excuse, fcw_excuse, assumption, fcw_targets
-            ),
+        keys = self._keys(
+            "unit", assertion, target, source, assumption,
+            formula_extra=(excuse,), full_extra=(fcw_excuse, fcw_targets),
         )
+        triple = _Triple(
+            source.written_resources(),
+            lambda: self._transaction_symbolic(assertion.formula, source, excuse, assumption),
+            {"mode": "unit", "fcw_excuse": fcw_excuse, "fcw_targets": fcw_targets},
+        )
+        return self._check(keys, target, assertion, source, assumption, triple)
 
-    def _decide_unit(
-        self, target, assertion, source, excuse, fcw_excuse, assumption, fcw_targets
-    ) -> tuple:
-        start = time.perf_counter()
-        if self.use_disjoint and not overlaps(
-            assertion.formula.resources(), source.written_resources()
-        ):
-            self.stats["disjoint"] += 1
-            self.tier_times["disjoint"] += time.perf_counter() - start
-            return InterferenceVerdict(False, PROVED, "disjoint"), FORMULA_SCOPE
-        self.tier_times["disjoint"] += time.perf_counter() - start
-        start = time.perf_counter()
-        if self.use_symbolic:
-            symbolic = self._transaction_symbolic(assertion.formula, source, excuse, assumption)
-            if symbolic is not None:
-                self.tier_times["symbolic"] += time.perf_counter() - start
-                return symbolic, FORMULA_SCOPE
-        self.tier_times["symbolic"] += time.perf_counter() - start
-        start = time.perf_counter()
-        verdict = self._bmc(
-            target, assertion, source, mode="unit", fcw_excuse=fcw_excuse,
-            assumption=assumption, fcw_targets=fcw_targets,
-        )
-        self.tier_times["bmc"] += time.perf_counter() - start
-        return verdict, FULL_SCOPE
+    # -- tier 1: footprint disjointness ----------------------------------------
+
+    def _disjoint(self, assertion: Formula, written: frozenset) -> InterferenceVerdict | None:
+        if self.use_disjoint and not overlaps(assertion.resources(), written):
+            return InterferenceVerdict(False, PROVED, "disjoint")
+        return None
 
     # -- tier 2: symbolic ------------------------------------------------------
 
@@ -1023,7 +949,6 @@ class InterferenceChecker:
             goal = implies(conj(assertion, pre, assumption), after)
             result = is_valid(goal)
             if result.verdict == Verdict.INVALID:
-                self.stats["symbolic"] += 1
                 return InterferenceVerdict(
                     True,
                     PROVED,
@@ -1033,7 +958,6 @@ class InterferenceChecker:
             if result.verdict != Verdict.VALID or not exact:
                 all_valid = False
         if all_valid:
-            self.stats["symbolic"] += 1
             return InterferenceVerdict(False, PROVED, "symbolic")
         return None
 
@@ -1056,7 +980,6 @@ class InterferenceChecker:
             goal = implies(conj(assertion, path.condition, assumption), after)
             result = is_valid(goal)
             if result.verdict == Verdict.INVALID:
-                self.stats["symbolic"] += 1
                 return InterferenceVerdict(
                     True,
                     PROVED,
@@ -1065,7 +988,6 @@ class InterferenceChecker:
                 )
             if result.verdict != Verdict.VALID:
                 return None
-        self.stats["symbolic"] += 1
         return InterferenceVerdict(False, PROVED, "rollback-symbolic")
 
     def _transaction_symbolic(
@@ -1082,7 +1004,6 @@ class InterferenceChecker:
             goal = implies(conj(assertion, path.condition, assumption), disj(excuse, after))
             result = is_valid(goal)
             if result.verdict == Verdict.INVALID:
-                self.stats["symbolic"] += 1
                 return InterferenceVerdict(
                     True,
                     PROVED,
@@ -1091,7 +1012,6 @@ class InterferenceChecker:
                 )
             if result.verdict != Verdict.VALID:
                 return None
-        self.stats["symbolic"] += 1
         return InterferenceVerdict(False, PROVED, "symbolic")
 
     # -- tier 3: bounded model checking ---------------------------------------
@@ -1122,15 +1042,14 @@ class InterferenceChecker:
         target: TransactionType,
         assertion: CriticalAssertion,
         source: TransactionType,
+        assumption: Formula,
         mode: str,
         stmt: Statement | None = None,
         fcw_excuse: bool = False,
-        assumption: Formula = TRUE,
         dirty_reads: bool = True,
         fcw_targets: list | None = None,
     ) -> InterferenceVerdict:
         if self.spec is None:
-            self.stats["assumed"] += 1
             return InterferenceVerdict(
                 True, ASSUMED, "no-domain-spec",
                 note="no bounded domains available; conservatively assumed to interfere",
@@ -1156,7 +1075,6 @@ class InterferenceChecker:
                 states, rng, exhaustive, target, assertion, source, mode, stmt,
                 fcw_excuse, assumption, dirty_reads, fcw_targets,
             )
-        self.stats["bmc"] += 1
         if witness is not None:
             return InterferenceVerdict(True, PROVED, f"bmc-{mode}", witness=witness)
         confidence = BOUNDED if exhaustive else SAMPLED
@@ -1198,6 +1116,11 @@ class InterferenceChecker:
         counter = {"cases": 0}
         target_params = tuple(target.params)
         source_params = tuple(source.params)
+        if fcw_excuse:
+            target_static = (
+                fcw_targets if fcw_targets is not None else static_write_targets(target)
+            )
+            source_static = static_write_targets(source)
         for state0 in states:
             target_space, t_exhaustive = self._assignment_space(target_params, rng)
             exhaustive = exhaustive and t_exhaustive
@@ -1213,16 +1136,10 @@ class InterferenceChecker:
                         continue
                     if fcw_excuse:
                         target_writes = _concrete_write_targets(
-                            target,
-                            target_env,
-                            restrict=(
-                                fcw_targets
-                                if fcw_targets is not None
-                                else self._static_targets(target)
-                            ),
+                            target, target_env, restrict=target_static
                         )
                         source_writes = _concrete_write_targets(
-                            source, source_env, restrict=self._static_targets(source)
+                            source, source_env, restrict=source_static
                         )
                         if (
                             target_writes is not None
@@ -1265,7 +1182,7 @@ class InterferenceChecker:
         # assertion evaluation and hence the witness verdict coincide — so
         # each equivalence class is examined once
         seen: set = set()
-        for position in self._positions(assertion, target_trace):
+        for position in _activation_positions(assertion, target_trace):
             mid_state = target_trace.states[position]
             mid_env = target_trace.envs[position]
             env_key = self._env_key(assertion.formula, mid_env)
@@ -1327,7 +1244,7 @@ class InterferenceChecker:
             # location the source write-locked are reachable interleavings
             cumulative = target_trace.cumulative_writes()
             seen: set = set()
-            for position in self._positions(assertion, target_trace):
+            for position in _activation_positions(assertion, target_trace):
                 if source_written & cumulative[position]:
                     continue  # long write locks forbid this interleaving
                 mid_state = target_trace.states[position]
@@ -1471,30 +1388,6 @@ def _event_delta(event: TraceEvent) -> frozenset:
         delta = frozenset(out)
         event.delta = delta
     return delta
-
-
-def _delta_locations(before: DbState, after: DbState) -> set:
-    """Locations changed between two states (for lock-conflict filtering)."""
-    out: set = set()
-    for name in set(before.items) | set(after.items):
-        if before.items.get(name) != after.items.get(name):
-            out.add(("item", name))
-    for array in set(before.arrays) | set(after.arrays):
-        indices = set(before.arrays.get(array, {})) | set(after.arrays.get(array, {}))
-        for index in indices:
-            old = before.arrays.get(array, {}).get(index, {})
-            new = after.arrays.get(array, {}).get(index, {})
-            for attr in set(old) | set(new):
-                if old.get(attr) != new.get(attr):
-                    out.add(("field", array, index, attr))
-    for table in set(before.tables) | set(after.tables):
-        old_rows = _row_multiset(before.tables.get(table, []))
-        new_rows = _row_multiset(after.tables.get(table, []))
-        if old_rows != new_rows:
-            for key in set(old_rows) | set(new_rows):
-                if old_rows.get(key, 0) != new_rows.get(key, 0):
-                    out.add(("row", table, key))
-    return out
 
 
 def _activation_positions(assertion: CriticalAssertion, target_trace: Trace) -> list:

@@ -32,8 +32,10 @@ interference checker treats ``UNKNOWN`` conservatively.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
+import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -584,8 +586,7 @@ def _check_int_assignment(constraints: Sequence[_IntConstraint], assignment: dic
 
 # -- lazy LP backend ---------------------------------------------------------
 
-_lp_backend: tuple | None = None
-_lp_probed = False
+_lp_lock = threading.Lock()
 
 
 def _load_lp():
@@ -593,23 +594,27 @@ def _load_lp():
 
     The import is deferred to the first cube the fast path cannot close, so
     fast-path-only installs never pay (or need) the scipy import; the
-    degradation to UNKNOWN is logged once per process.
+    degradation to UNKNOWN is logged once per process.  Concurrent first
+    calls serialise on a lock: no thread may see the backend as missing
+    while another is still importing it, because the UNKNOWN it would
+    report is memoised process-wide.
     """
-    global _lp_backend, _lp_probed
-    if not _lp_probed:
-        _lp_probed = True
-        try:
-            import numpy as np
-            from scipy.optimize import linprog
+    with _lp_lock:
+        return _import_lp()
 
-            _lp_backend = (np, linprog)
-        except ImportError:
-            _lp_backend = None
-            _log.warning(
-                "scipy is not installed; hard linear cubes will be reported "
-                "UNKNOWN (install the 'lp' extra for the LP fallback)"
-            )
-    return _lp_backend
+
+@functools.cache
+def _import_lp():
+    try:
+        import numpy as np
+        from scipy.optimize import linprog
+    except ImportError:
+        _log.warning(
+            "scipy is not installed; hard linear cubes will be reported "
+            "UNKNOWN (install the 'lp' extra for the LP fallback)"
+        )
+        return None
+    return np, linprog
 
 
 # -- LP-free fast path -------------------------------------------------------

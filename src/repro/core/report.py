@@ -86,7 +86,6 @@ def analysis_stats_table(checker) -> str:
             )
         )
     rows.append(("assumed", checker.stats.get("assumed", 0), "-"))
-    rows.append(("sdg pruned", checker.stats.get("sdg_pruned", 0), "-"))
     lines = [format_table(("tier", "discharged", "wall ms"), rows)]
     cache = checker.cache.stats
     lines.append("")

@@ -23,10 +23,7 @@ SQL Isolation Levels*; Fekete et al.'s adjacent rw-antidependency pairs):
   update);
 * a per-level **statically safe** verdict: a type none of whose protected
   assertions can be reached by any partner's writes is correct at that
-  level with no prover involvement at all;
-* **plan pre-pruning** (:func:`prune_plan`): obligations whose
-  footprint-disjointness the graph certifies are excused before they are
-  dispatched to the interference checker.
+  level with no prover involvement at all.
 
 Soundness boundary: footprint disjointness may only *certify safety*
 (resources over-approximate reachable locations, so "disjoint" is exact);
@@ -59,9 +56,6 @@ WW = "ww"  # source and target write sets overlap
 RW = "rw"  # source reads a resource the target writes (anti-dependency)
 
 EDGE_KINDS = (WR, WW, RW)
-
-#: Excuse label stamped on pre-pruned obligations (see :func:`prune_plan`).
-SDG_EXCUSE = "statically disjoint footprint (SDG)"
 
 
 # ---------------------------------------------------------------------------
@@ -406,40 +400,3 @@ def safe_levels(graph: ConflictGraph, name: str, ladder) -> list:
     """The ladder levels at which ``name`` is statically safe, in order."""
     return [level for level in ladder if statically_safe(graph, name, level)]
 
-
-# ---------------------------------------------------------------------------
-# obligation pre-pruning
-# ---------------------------------------------------------------------------
-
-
-def spec_write_resources(spec) -> frozenset:
-    """The write surface of one planned obligation.
-
-    Matches what the checker's own disjointness tier would compare against:
-    the single statement's writes in ``statement`` mode, the source's whole
-    write set in ``rollback`` and ``unit`` modes.
-    """
-    if spec.check == "statement":
-        return spec.statement.written_resources()
-    if spec.check in ("rollback", "unit"):
-        return spec.source.written_resources()
-    raise AnalysisError(f"unknown obligation check {spec.check!r}")
-
-
-def prune_plan(specs) -> int:
-    """Excuse footprint-disjoint obligations in place; returns the count.
-
-    Sound and verdict-preserving: the excused obligations are exactly those
-    the checker's first tier would decide "no interference (proved)" —
-    disjointness is computed with the same :func:`repro.core.resources.
-    overlaps` over the same resource sets — so level choices are identical
-    with pruning on or off; only the dispatch work disappears.
-    """
-    pruned = 0
-    for spec in specs:
-        if spec.excused is not None:
-            continue
-        if not overlaps(spec.assertion.formula.resources(), spec_write_resources(spec)):
-            spec.excused = SDG_EXCUSE
-            pruned += 1
-    return pruned

@@ -26,7 +26,6 @@ class RunContext:
     budget: int = 3000  # BMC sample budget per obligation
     max_schedules: int | None = 500  # exploration run bound per scenario
     max_depth: int | None = None  # exploration decision bound per run
-    use_sdg: bool = True  # SDG obligation pre-pruning in the static layer
     cache: VerdictCache | None = None  # None -> process-shared cache
     cache_dir: str | None = None  # persistent store directory (None -> env/off)
     no_persist: bool = False  # force the persistent store off
@@ -51,7 +50,6 @@ class RunContext:
             seed=self.seed,
             cache=self.cache,
             workers=self.workers,
-            use_sdg=self.use_sdg,
         )
 
     def policy(self, app_ref: str | None = None) -> ParallelPolicy:

@@ -47,7 +47,6 @@ class JobSpec:
     seed: int = 0
     ladder: str = "ansi"
     snapshot: bool = False
-    use_sdg: bool = True
     transaction: str | None = None
     level: str | None = None
     max_schedules: int = 500
@@ -233,8 +232,7 @@ def _run_analyze_job(
     if store is not None:
         store.load(cache)
     checker = InterferenceChecker(
-        app.spec, budget=spec.budget, seed=spec.seed, cache=cache,
-        workers=workers, use_sdg=spec.use_sdg,
+        app.spec, budget=spec.budget, seed=spec.seed, cache=cache, workers=workers
     )
     if checker_hook is not None:
         checker_hook(checker)
@@ -282,7 +280,6 @@ def _run_certify_job(
         budget=spec.budget,
         max_schedules=spec.max_schedules,
         max_depth=spec.max_depth,
-        use_sdg=spec.use_sdg,
         cache=cache,
         cache_dir=cache_dir,
         no_persist=no_persist,

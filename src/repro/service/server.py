@@ -65,7 +65,7 @@ __all__ = [
 
 #: Option fields a job request may carry besides app/apps/deadline_ms.
 JOB_OPTION_FIELDS = (
-    "budget", "seed", "ladder", "snapshot", "use_sdg",
+    "budget", "seed", "ladder", "snapshot",
     "transaction", "level", "max_schedules", "max_depth",
     "profile", "pairs",
 )

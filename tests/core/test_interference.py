@@ -18,6 +18,8 @@ from repro.core.interference import (
     BOUNDED,
     CONSISTENCY,
     CriticalAssertion,
+    MISS,
+    IdentityMemo,
     InterferenceChecker,
     PROVED,
     READ_POST,
@@ -55,6 +57,37 @@ def make_setter(value: int):
 
 def spec_x():
     return DomainSpec(items=(ItemDomain("x", (0, 1, 2)),))
+
+
+class TestIdentityMemo:
+    def test_hit_on_the_same_objects(self):
+        memo = IdentityMemo(10)
+        state, env = DbState(), {"a": 1}
+        assert memo.put("v", state, env, "extra") == "v"
+        assert memo.get(state, env, "extra") == "v"
+        assert memo.get(state, env, "other") is MISS
+
+    def test_miss_on_equal_but_distinct_objects(self):
+        memo = IdentityMemo(10)
+        state, env = DbState(), {"a": 1}
+        memo.put("v", state, env)
+        assert memo.get(DbState(), env) is MISS
+        assert memo.get(state, {"a": 1}) is MISS
+
+    def test_stored_none_is_a_hit(self):
+        memo = IdentityMemo(10)
+        state = DbState()
+        memo.put(None, state)
+        assert memo.get(state) is None
+
+    def test_cap_respected(self):
+        memo = IdentityMemo(2)
+        keys = [DbState() for _ in range(3)]
+        for index, key in enumerate(keys):
+            assert memo.put(index, key) == index
+        assert len(memo) == 2
+        assert memo.get(keys[0]) == 0 and memo.get(keys[1]) == 1
+        assert memo.get(keys[2]) is MISS
 
 
 class TestTracing:

@@ -10,6 +10,7 @@ assignment.
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -164,5 +165,43 @@ class TestLazyScipy:
             text=True,
             env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
             cwd="/root/repo",
+        )
+        assert result.returncode == 0, result.stderr
+
+    def test_concurrent_first_loads_agree(self):
+        """Two threads racing the first ``_load_lp`` call see one backend.
+
+        A thread that saw the backend as missing while another was still
+        importing scipy would record an UNKNOWN cube in the process-wide
+        query memo, so concurrent jobs could disagree with serial ones.
+        """
+        pytest.importorskip("scipy")
+        code = textwrap.dedent(
+            """
+            import threading
+            from repro.core import prover
+
+            barrier = threading.Barrier(2)
+            missing = []
+
+            def load():
+                barrier.wait()
+                missing.append(prover._load_lp() is None)
+
+            threads = [threading.Thread(target=load) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert missing == [False, False], missing
+            """
+        )
+        root = Path(__file__).resolve().parents[2]
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(root / "src"), "PATH": "/usr/bin:/bin"},
+            cwd=root,
         )
         assert result.returncode == 0, result.stderr

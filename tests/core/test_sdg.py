@@ -14,10 +14,8 @@ from repro.core.conditions import (
     REPEATABLE_READ,
     SERIALIZABLE,
     SNAPSHOT,
-    plan_level,
 )
 from repro.core.interference import InterferenceChecker
-from repro.core.resources import overlaps
 from repro.errors import AnalysisError
 
 
@@ -146,65 +144,3 @@ class TestStaticallySafe:
                     assert LEVEL_ORDER[levels[txn]] <= LEVEL_ORDER[safe[0]], (
                         name, txn, levels[txn], safe,
                     )
-
-
-class TestPrunePlan:
-    def _plans(self, app, level):
-        return [
-            spec
-            for txn in app.transactions
-            for spec in plan_level(app, txn, level)
-        ]
-
-    def test_prunes_only_disjoint_specs(self):
-        app = banking.make_application()
-        specs = self._plans(app, READ_UNCOMMITTED)
-        pruned = sdg.prune_plan(specs)
-        assert pruned > 0
-        for spec in specs:
-            disjoint = not overlaps(
-                spec.assertion.formula.resources(), sdg.spec_write_resources(spec)
-            )
-            if spec.excused == sdg.SDG_EXCUSE:
-                assert disjoint
-            elif spec.excused is None:
-                assert not disjoint
-
-    def test_idempotent(self):
-        app = banking.make_application()
-        specs = self._plans(app, READ_COMMITTED)
-        first = sdg.prune_plan(specs)
-        assert first > 0
-        assert sdg.prune_plan(specs) == 0
-
-    def test_preserves_existing_excuses(self):
-        from repro.apps import orders
-
-        app = orders.make_application()
-        specs = self._plans(app, REPEATABLE_READ)
-        before = {
-            id(spec): spec.excused for spec in specs if spec.excused is not None
-        }
-        sdg.prune_plan(specs)
-        for spec in specs:
-            if id(spec) in before:
-                assert spec.excused == before[id(spec)]
-
-    def test_levels_identical_with_and_without_pruning(self):
-        """The acceptance criterion: byte-identical assignments, >0 pruned."""
-        for name in ("banking", "customers", "employees"):
-            app = registry()[name]()
-            on = InterferenceChecker(
-                app.spec, budget=200, cache=VerdictCache(enabled=False), use_sdg=True
-            )
-            off = InterferenceChecker(
-                app.spec, budget=200, cache=VerdictCache(enabled=False), use_sdg=False
-            )
-            assert (
-                analyze_application(app, on).levels()
-                == analyze_application(app, off).levels()
-            )
-            assert on.stats["sdg_pruned"] > 0
-            assert off.stats["sdg_pruned"] == 0
-            # the pruned obligations are exactly the checker's disjoint tier
-            assert on.stats["sdg_pruned"] == off.stats["disjoint"]

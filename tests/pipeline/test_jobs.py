@@ -131,7 +131,6 @@ class TestFingerprint:
             JobSpec(kind="analyze", app="banking", seed=7),
             JobSpec(kind="analyze", app="banking", ladder="extended"),
             JobSpec(kind="analyze", app="banking", snapshot=True),
-            JobSpec(kind="analyze", app="banking", use_sdg=False),
         ]
         prints = {base.fingerprint()} | {v.fingerprint() for v in variants}
         assert len(prints) == len(variants) + 1

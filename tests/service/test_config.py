@@ -67,16 +67,18 @@ class TestParseJobPayload:
     """The shared payload parser (server executes, router shards)."""
 
     def test_dpor_field_rejected_with_400(self):
-        # the explorer has one pruning algorithm; a dpor selector is unknown
+        # removed selectors are unknown fields: the explorer has one pruning
+        # algorithm, and the checker's tier 1 is the only disjointness pass
         import pytest as _pytest
 
         from repro.service.http import HttpError
         from repro.service.server import parse_job_payload
 
-        with _pytest.raises(HttpError) as excinfo:
-            parse_job_payload("certify", {"app": "banking", "dpor": "optimal"})
-        assert excinfo.value.status == 400
-        assert "unknown request fields: dpor" in str(excinfo.value)
+        for field, value in (("dpor", "optimal"), ("use_sdg", False)):
+            with _pytest.raises(HttpError) as excinfo:
+                parse_job_payload("certify", {"app": "banking", field: value})
+            assert excinfo.value.status == 400
+            assert f"unknown request fields: {field}" in str(excinfo.value)
 
     def test_unknown_field_rejected_with_400(self):
         import pytest as _pytest

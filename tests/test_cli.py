@@ -238,30 +238,6 @@ class TestCertifyCommand:
         assert payload["sdg"]["disagreements"] == []
 
 
-class TestSdgFlag:
-    def test_analyze_prunes_by_default(self, capsys):
-        import json as json_module
-
-        code = main(["analyze", "employees", "--budget", "2000", "--no-cache",
-                     "--json"])
-        assert code == 0
-        payload = json_module.loads(capsys.readouterr().out)
-        assert payload["tiers"]["sdg_pruned"] > 0
-
-    def test_no_sdg_disables_pruning_same_levels(self, capsys):
-        import json as json_module
-
-        main(["analyze", "employees", "--budget", "2000", "--no-cache", "--json"])
-        with_sdg = json_module.loads(capsys.readouterr().out)
-        code = main(["analyze", "employees", "--budget", "2000", "--no-cache",
-                     "--no-sdg", "--json"])
-        assert code == 0
-        without = json_module.loads(capsys.readouterr().out)
-        assert without["tiers"]["sdg_pruned"] == 0
-        assert without["tiers"]["disjoint"] > 0
-        assert with_sdg["levels"] == without["levels"]
-
-
 class TestLintCommand:
     def test_lint_bundled_apps_clean(self, capsys):
         code = main(["lint"])

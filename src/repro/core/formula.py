@@ -23,17 +23,21 @@ The language covers everything the paper's examples need:
   the annotation keeps symbolic (e.g. "labels have been printed").
 
 Every formula supports substitution, atom/resource extraction and concrete
-evaluation, mirroring :class:`repro.core.terms.Term`.
+evaluation, mirroring :class:`repro.core.terms.Term`; evaluation runs the
+node's compiled closure (:func:`repro.core.terms.compiled`).  Quantifiers
+and aggregates bind their row variable in the closure's ``rows`` mapping,
+by name, instead of copying the environment once per row.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, fields as dataclass_fields
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
 from repro.core import terms
 from repro.core.resources import ArrayResource, Resource, ScalarResource, TableResource
-from repro.core.terms import HashConsMeta, Term, Value, coerce
+from repro.core.terms import HashConsMeta, Term, coerce, compiled
 from repro.errors import EvaluationError, SortError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -42,13 +46,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 Env = dict
 
 _CMP_OPS = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
+
+#: The sorts a row attribute is bound under when an abstract predicate's
+#: evaluator needs the quantifier's rows as environment entries.
+_ROW_SORTS = ("int", "bool", "str")
 
 _NEGATED_OP = {"==": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 
@@ -76,11 +84,19 @@ class RowAttr(Term):
     def atoms(self) -> Iterator[Term]:
         yield self
 
-    def evaluate(self, state: "DbState", env: Env) -> Value:
-        try:
-            return env[self]
-        except KeyError:
-            raise EvaluationError(f"unbound row attribute {self.row}.{self.attr}")
+    def _compile(self):
+        name, attr, key = self.row, self.attr, self
+
+        def fn(state, env, rows):
+            row = rows.get(name)
+            if row is not None and attr in row:
+                return row[attr]
+            try:
+                return env[key]
+            except KeyError:
+                raise EvaluationError(f"unbound row attribute {name}.{attr}")
+
+        return fn
 
     def __repr__(self) -> str:
         return f"{self.row}.{self.attr}"
@@ -102,11 +118,19 @@ class BoundVar(Term):
     def atoms(self) -> Iterator[Term]:
         yield self
 
-    def evaluate(self, state: "DbState", env: Env) -> Value:
-        try:
-            return env[self]
-        except KeyError:
-            raise EvaluationError(f"unbound quantified variable {self.name!r}")
+    def _compile(self):
+        key = self
+
+        def fn(state, env, rows):
+            value = rows.get(key)
+            if value is not None:
+                return value
+            try:
+                return env[key]
+            except KeyError:
+                raise EvaluationError(f"unbound quantified variable {key.name!r}")
+
+        return fn
 
     def __repr__(self) -> str:
         return f"${self.name}"
@@ -148,38 +172,64 @@ class CountWhere(Term):
                 out.add(TableResource(self.table, atom.attr))
         return frozenset(out)
 
-    def evaluate(self, state: "DbState", env: Env) -> Value:
-        count = 0
-        for row in state.rows(self.table):
-            row_env = _bind_row(env, self.row, row)
-            if self.where.evaluate(state, row_env):
-                count += 1
-        return count
+    def _compile(self):
+        table, name, where = self.table, self.row, compiled(self.where)
+
+        def fn(state, env, rows):
+            outer = rows.get(name)
+            count = 0
+            for row in state.rows(table):
+                if where(state, env, {**rows, name: row if outer is None else {**outer, **row}}):
+                    count += 1
+            return count
+
+        return fn
 
     def __repr__(self) -> str:
         return f"COUNT({self.row} in {self.table} where {self.where!r})"
 
 
-#: (row_var, attr) -> the three sorted RowAttr keys; row binding happens in
-#: the innermost loop of every quantifier/aggregate evaluation, so the keys
-#: are looked up here instead of going through the constructor each time.
-_ROW_KEYS: dict = {}
+# Row binding.  A quantifier passes its body a copy of ``rows`` extended
+# with its row variable; ``rows`` itself is never mutated.  Rebinding a
+# shadowed name merges the new row over the outer one, so an attribute the
+# inner row lacks reads the outer row's value.
 
 
-def _bind_row(env: Env, row_var: str, row: Mapping[str, Value]) -> Env:
-    """Extend an environment with bindings for every attribute of a row."""
+def _row_quantifier(node, exists: bool):
+    """The closure of a :class:`ForAllRows` or :class:`ExistsRow` node.
+
+    The first row satisfying ``where`` whose body's truth equals ``exists``
+    decides the result; without one the result is ``not exists``.
+    """
+    table, name = node.table, node.row
+    body, where = compiled(node.body), compiled(node.where)
+
+    def fn(state, env, rows):
+        outer = rows.get(name)
+        for row in state.rows(table):
+            inner = {**rows, name: row if outer is None else {**outer, **row}}
+            if where(state, env, inner) and bool(body(state, env, inner)) == exists:
+                return exists
+        return not exists
+
+    return fn
+
+
+def _env_with_rows(env: Env, rows: dict) -> Env:
+    """``env`` extended with every binding in ``rows`` as environment entries.
+
+    Only an :class:`AbstractPred` evaluator inside a quantifier needs this:
+    it receives the row attributes as :class:`RowAttr` keys of each sort and
+    the bound integers as :class:`BoundVar` keys.
+    """
     extended = dict(env)
-    for attr, value in row.items():
-        try:
-            int_key, bool_key, str_key = _ROW_KEYS[(row_var, attr)]
-        except KeyError:
-            int_key = RowAttr(row_var, attr)
-            bool_key = RowAttr(row_var, attr, "bool")
-            str_key = RowAttr(row_var, attr, "str")
-            _ROW_KEYS[(row_var, attr)] = (int_key, bool_key, str_key)
-        extended[int_key] = value
-        extended[bool_key] = value
-        extended[str_key] = value
+    for key, bound in rows.items():
+        if isinstance(key, BoundVar):
+            extended[key] = bound
+            continue
+        for attr, value in bound.items():
+            for sort in _ROW_SORTS:
+                extended[RowAttr(key, attr, sort)] = value
     return extended
 
 
@@ -254,6 +304,12 @@ class Formula(metaclass=HashConsMeta):
         return cached
 
     def evaluate(self, state: "DbState", env: Env) -> bool:
+        """Evaluate against a concrete database state and environment."""
+        fn = self.__dict__.get("_hc_fn") or compiled(self)
+        return fn(state, env, terms.NO_ROWS)
+
+    def _compile(self):
+        """Per-class body of :func:`~repro.core.terms.compiled`."""
         raise NotImplementedError
 
     def resources(self) -> frozenset[Resource]:
@@ -314,8 +370,8 @@ class Top(Formula):
     def atoms(self) -> Iterator[Term]:
         return iter(())
 
-    def evaluate(self, state: "DbState", env: Env) -> bool:
-        return True
+    def _compile(self):
+        return lambda state, env, rows: True
 
     def __repr__(self) -> str:
         return "true"
@@ -331,8 +387,8 @@ class Bottom(Formula):
     def atoms(self) -> Iterator[Term]:
         return iter(())
 
-    def evaluate(self, state: "DbState", env: Env) -> bool:
-        return False
+    def _compile(self):
+        return lambda state, env, rows: False
 
     def __repr__(self) -> str:
         return "false"
@@ -363,10 +419,9 @@ class Cmp(Formula):
         yield from self.left.atoms()
         yield from self.right.atoms()
 
-    def evaluate(self, state: "DbState", env: Env) -> bool:
-        lhs = self.left.evaluate(state, env)
-        rhs = self.right.evaluate(state, env)
-        return _CMP_OPS[self.op](lhs, rhs)
+    def _compile(self):
+        left, right, op = compiled(self.left), compiled(self.right), _CMP_OPS[self.op]
+        return lambda state, env, rows: op(left(state, env, rows), right(state, env, rows))
 
     def negated(self) -> "Cmp":
         """The comparison asserting the opposite relation."""
@@ -388,9 +443,9 @@ class BoolAtom(Formula):
     def atoms(self) -> Iterator[Term]:
         yield from self.term.atoms()
 
-    def evaluate(self, state: "DbState", env: Env) -> bool:
-        value = self.term.evaluate(state, env)
-        return bool(value)
+    def _compile(self):
+        term = compiled(self.term)
+        return lambda state, env, rows: bool(term(state, env, rows))
 
     def __repr__(self) -> str:
         return repr(self.term)
@@ -408,8 +463,9 @@ class Not(Formula):
     def atoms(self) -> Iterator[Term]:
         yield from self.operand.atoms()
 
-    def evaluate(self, state: "DbState", env: Env) -> bool:
-        return not self.operand.evaluate(state, env)
+    def _compile(self):
+        operand = compiled(self.operand)
+        return lambda state, env, rows: not operand(state, env, rows)
 
     def _extra_resources(self) -> frozenset[Resource]:
         return self.operand._extra_resources()
@@ -431,8 +487,16 @@ class And(Formula):
         for op in self.operands:
             yield from op.atoms()
 
-    def evaluate(self, state: "DbState", env: Env) -> bool:
-        return all(op.evaluate(state, env) for op in self.operands)
+    def _compile(self):
+        operands = tuple(compiled(op) for op in self.operands)
+
+        def fn(state, env, rows):
+            for op in operands:
+                if not op(state, env, rows):
+                    return False
+            return True
+
+        return fn
 
     def _extra_resources(self) -> frozenset[Resource]:
         out: frozenset[Resource] = frozenset()
@@ -457,8 +521,16 @@ class Or(Formula):
         for op in self.operands:
             yield from op.atoms()
 
-    def evaluate(self, state: "DbState", env: Env) -> bool:
-        return any(op.evaluate(state, env) for op in self.operands)
+    def _compile(self):
+        operands = tuple(compiled(op) for op in self.operands)
+
+        def fn(state, env, rows):
+            for op in operands:
+                if op(state, env, rows):
+                    return True
+            return False
+
+        return fn
 
     def _extra_resources(self) -> frozenset[Resource]:
         out: frozenset[Resource] = frozenset()
@@ -484,8 +556,9 @@ class Implies(Formula):
         yield from self.premise.atoms()
         yield from self.conclusion.atoms()
 
-    def evaluate(self, state: "DbState", env: Env) -> bool:
-        return (not self.premise.evaluate(state, env)) or self.conclusion.evaluate(state, env)
+    def _compile(self):
+        premise, conclusion = compiled(self.premise), compiled(self.conclusion)
+        return lambda state, env, rows: (not premise(state, env, rows)) or conclusion(state, env, rows)
 
     def _extra_resources(self) -> frozenset[Resource]:
         return self.premise._extra_resources() | self.conclusion._extra_resources()
@@ -515,12 +588,8 @@ class ForAllRows(Formula):
             if not (isinstance(atom, RowAttr) and atom.row == self.row):
                 yield atom
 
-    def evaluate(self, state: "DbState", env: Env) -> bool:
-        for row in state.rows(self.table):
-            row_env = _bind_row(env, self.row, row)
-            if self.where.evaluate(state, row_env) and not self.body.evaluate(state, row_env):
-                return False
-        return True
+    def _compile(self):
+        return _row_quantifier(self, exists=False)
 
     def _extra_resources(self) -> frozenset[Resource]:
         out: set[Resource] = {TableResource(self.table)}
@@ -558,12 +627,8 @@ class ExistsRow(Formula):
             if not (isinstance(atom, RowAttr) and atom.row == self.row):
                 yield atom
 
-    def evaluate(self, state: "DbState", env: Env) -> bool:
-        for row in state.rows(self.table):
-            row_env = _bind_row(env, self.row, row)
-            if self.where.evaluate(state, row_env) and self.body.evaluate(state, row_env):
-                return True
-        return False
+    def _compile(self):
+        return _row_quantifier(self, exists=True)
 
     def _extra_resources(self) -> frozenset[Resource]:
         out: set[Resource] = {TableResource(self.table)}
@@ -604,18 +669,21 @@ class ForAllInts(Formula):
             if atom != BoundVar(self.var):
                 yield atom
 
-    def evaluate(self, state: "DbState", env: Env) -> bool:
-        low = self.low.evaluate(state, env)
-        high = self.high.evaluate(state, env)
-        if not isinstance(low, int) or not isinstance(high, int):
-            raise EvaluationError(f"non-integer bounds in {self!r}")
+    def _compile(self):
+        low_fn, high_fn, body = compiled(self.low), compiled(self.high), compiled(self.body)
         bound = BoundVar(self.var)
-        for value in range(low, high + 1):
-            extended = dict(env)
-            extended[bound] = value
-            if not self.body.evaluate(state, extended):
-                return False
-        return True
+
+        def fn(state, env, rows):
+            low = low_fn(state, env, rows)
+            high = high_fn(state, env, rows)
+            if not isinstance(low, int) or not isinstance(high, int):
+                raise EvaluationError(f"non-integer bounds in {self!r}")
+            for value in range(low, high + 1):
+                if not body(state, env, {**rows, bound: value}):
+                    return False
+            return True
+
+        return fn
 
     def _extra_resources(self) -> frozenset[Resource]:
         return self.body._extra_resources()
@@ -638,12 +706,18 @@ class InTable(Formula):
         for _attr, term in self.values:
             yield from term.atoms()
 
-    def evaluate(self, state: "DbState", env: Env) -> bool:
-        wanted = {attr: term.evaluate(state, env) for attr, term in self.values}
-        for row in state.rows(self.table):
-            if all(attr in row and row[attr] == value for attr, value in wanted.items()):
-                return True
-        return False
+    def _compile(self):
+        table = self.table
+        values = tuple((attr, compiled(term)) for attr, term in self.values)
+
+        def fn(state, env, rows):
+            wanted = {attr: term(state, env, rows) for attr, term in values}
+            for row in state.rows(table):
+                if all(attr in row and row[attr] == value for attr, value in wanted.items()):
+                    return True
+            return False
+
+        return fn
 
     def _extra_resources(self) -> frozenset[Resource]:
         out: set[Resource] = {TableResource(self.table)}
@@ -684,10 +758,15 @@ class AbstractPred(Formula):
     def atoms(self) -> Iterator[Term]:
         return iter(())
 
-    def evaluate(self, state: "DbState", env: Env) -> bool:
-        if self.evaluator is None:
-            raise EvaluationError(f"abstract predicate {self.name!r} has no evaluator")
-        return self.evaluator(state, env)
+    def _compile(self):
+        evaluator, name = self.evaluator, self.name
+
+        def fn(state, env, rows):
+            if evaluator is None:
+                raise EvaluationError(f"abstract predicate {name!r} has no evaluator")
+            return evaluator(state, _env_with_rows(env, rows) if rows else env)
+
+        return fn
 
     def _extra_resources(self) -> frozenset[Resource]:
         return frozenset(self.reads)

@@ -32,6 +32,7 @@ mechanisation adds over the paper's hand proofs.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass
@@ -41,7 +42,7 @@ from repro.core import effects as fx
 from repro.core.cache import FORMULA_SCOPE, FULL_SCOPE, VerdictCache, fingerprint_many
 from repro.core.domains import DEFAULT_BUDGET, DomainSpec, iter_assignments, split_budget
 from repro.core.parallel import chunked, parallel_map
-from repro.core.formula import FALSE, Formula, TRUE, conj, disj, eq, implies
+from repro.core.formula import FALSE, CountWhere, Formula, TRUE, conj, disj, eq, implies
 from repro.core.program import (
     ForEach,
     If,
@@ -482,6 +483,41 @@ class IdentityMemo:
         return value
 
 
+#: States the evaluation memo keeps a table for.
+EVAL_MEMO_CAP = 500_000
+
+#: Atoms evaluation resolves against the database state, not the environment.
+_STATE_ATOMS = (Item, Field, CountWhere)
+
+
+def _env_key(formula: Formula, env: dict):
+    """The formula's evaluation-relevant view of ``env``.
+
+    A structural formula reads the environment only at its free atoms that
+    are not database references; their tuple is cached on the node and the
+    key holds the values ``env`` binds there (:data:`MISS` where it binds
+    none), so a formula with no free parameters collapses to one key no
+    matter how many partner-argument environments probe it.  An
+    :class:`~repro.core.formula.AbstractPred` evaluator may read any entry,
+    so such formulas key on the whole environment.  None when a value is
+    unhashable.
+    """
+    atoms = formula.__dict__.get("_hc_env_atoms", MISS)
+    if atoms is MISS:
+        atoms = None
+        if formula.projectable():
+            atoms = tuple(a for a in formula.atom_set() if not isinstance(a, _STATE_ATOMS))
+        object.__setattr__(formula, "_hc_env_atoms", atoms)
+    try:
+        if atoms is None:
+            return frozenset(env.items())
+        key = tuple(map(env.get, atoms, itertools.repeat(MISS)))
+        hash(key)
+    except TypeError:
+        return None
+    return key
+
+
 # ---------------------------------------------------------------------------
 # the checker
 # ---------------------------------------------------------------------------
@@ -556,13 +592,14 @@ class InterferenceChecker:
         #: exhaustive assignment spaces by parameter tuple (see
         #: :meth:`_assignment_space`); bounded by the application's types
         self._space_memo: dict = {}
-        # BMC memo tables; the caps bound memory on large scans
+        # BMC memo tables; the caps bound memory on large scans.  The
+        # evaluation memo maps ``id(state)`` to ``(state, table)`` for up to
+        # EVAL_MEMO_CAP states, pinning each; a table maps
+        # ``(formula, env key)`` to the verdict
+        self._eval_memo: dict = {}
         self._trace_memo = IdentityMemo(200_000)
-        self._eval_memo = IdentityMemo(2_000_000)
-        self._proj_key_memo = IdentityMemo(1_000_000)
         self._unit_memo = IdentityMemo(200_000)
         self._overlap_memo = IdentityMemo(100_000)
-        self._combined_memo = IdentityMemo(500_000)
         self._stmt_memo = IdentityMemo(200_000)
 
     def config_dict(self) -> dict:
@@ -695,59 +732,32 @@ class InterferenceChecker:
             cached = self._trace_memo.put(trace(txn, state0.fork(), args), state0, args, txn.name)
         return cached
 
-    def _memo_holds(self, formula, state, env) -> bool:
+    def _memo_holds(self, formula, state, env, env_key=MISS) -> bool:
         """`_holds` memoised over trace-cached states.
 
         Scenario loops re-evaluate the same (assertion, state, env)
-        combination for every partner argument assignment; formula
-        evaluation (nested quantifiers, COUNT aggregates) dominates BMC
-        cost, so this cache is the main lever.  States and formulas are
-        keyed by identity (the scan's formulas are the transactions' own
-        objects); environments by their projection onto the formula.
-        Environments with unhashable values (none in practice — buffers are
-        packed as tuples) fall back to direct evaluation.
+        combination for every partner argument assignment, so each state
+        (pinned by identity) gets a table keyed by the formula and the
+        environment's projection onto it (:func:`_env_key`; callers that
+        already hold it pass it in).  Environments with unhashable values
+        (none in practice — buffers are packed as tuples) fall back to
+        direct evaluation.
         """
-        return self._memo_holds_keyed(formula, state, env, self._env_key(formula, env))
-
-    def _memo_holds_keyed(self, formula, state, env, env_key) -> bool:
-        """:meth:`_memo_holds` with the environment key precomputed.
-
-        The scenario loops already compute the assertion's env key for
-        position deduplication; passing it through avoids a second
-        projection probe per position.
-        """
+        if env_key is MISS:
+            env_key = _env_key(formula, env)
         if env_key is None:
             return _holds(formula, state, env)
-        cached = self._eval_memo.get(state, formula, env_key)
+        entry = self._eval_memo.get(id(state))
+        if entry is None:
+            entry = (state, {})
+            if len(self._eval_memo) < EVAL_MEMO_CAP:
+                self._eval_memo[id(state)] = entry
+        table = entry[1]
+        key = (formula, env_key)
+        cached = table.get(key, MISS)
         if cached is MISS:
-            cached = self._eval_memo.put(_holds(formula, state, env), state, formula, env_key)
+            cached = table[key] = _holds(formula, state, env)
         return cached
-
-    def _env_key(self, formula, env):
-        """The formula's evaluation-relevant view of ``env``, memoised.
-
-        Structural formulas read the environment only at their free atoms,
-        so the key projects ``env`` onto them — a formula with no free
-        parameters collapses to one entry per state no matter how many
-        partner-argument environments probe it.  Opaque evaluators
-        (:class:`~repro.core.formula.AbstractPred` trees) key on the whole
-        environment.  Returns None when the environment holds unhashable
-        values.
-        """
-        env_key = self._proj_key_memo.get(formula, env)
-        if env_key is not MISS:
-            return env_key
-        try:
-            if formula.projectable():
-                atoms = formula.atom_set()
-                env_key = frozenset(
-                    (atom, env[atom]) for atom in atoms.intersection(env)
-                )
-            else:
-                env_key = frozenset(env.items())
-        except TypeError:
-            env_key = None
-        return self._proj_key_memo.put(env_key, formula, env)
 
     def _res_overlaps(self, res: frozenset, stmt: Statement) -> bool:
         """Whether ``stmt``'s written footprint overlaps ``res``, memoised.
@@ -770,8 +780,7 @@ class InterferenceChecker:
         Exhaustive spaces enumerate deterministically (``itertools.product``,
         no rng draws), so their materialisation is cached: the env and args
         dicts become identity-stable across every scan of the run, which is
-        what the identity-keyed projection, combined-env and trace memos
-        feed on.  Sampled spaces stay uncached so each scan keeps drawing
+        what the identity-keyed trace and unit memos feed on.  Sampled spaces stay uncached so each scan keeps drawing
         fresh cases.  Returns ``(pairs, exhaustive)``.
         """
         pairs = self._space_memo.get(params)
@@ -785,15 +794,6 @@ class InterferenceChecker:
         if space.exhaustive:
             self._space_memo[params] = pairs
         return pairs, space.exhaustive
-
-    def _combined_env(self, target_env: dict, source_env: dict) -> dict:
-        """The merged scan environment, memoised by operand identity."""
-        combined = self._combined_memo.get(target_env, source_env)
-        if combined is MISS:
-            combined = self._combined_memo.put(
-                {**target_env, **source_env}, target_env, source_env
-            )
-        return combined
 
     def _memo_unit_final(self, source: TransactionType, state0: DbState, args: dict):
         """Final state of ``source`` run atomically from ``state0``, memoised.
@@ -1131,7 +1131,7 @@ class InterferenceChecker:
                     if not self._memo_holds(source.param_pre, state0, source_env):
                         continue
                     if assumption is not TRUE and not self._memo_holds(
-                        assumption, state0, self._combined_env(target_env, source_env)
+                        assumption, state0, {**target_env, **source_env}
                     ):
                         continue
                     if fcw_excuse:
@@ -1185,7 +1185,7 @@ class InterferenceChecker:
         for position in _activation_positions(assertion, target_trace):
             mid_state = target_trace.states[position]
             mid_env = target_trace.envs[position]
-            env_key = self._env_key(assertion.formula, mid_env)
+            env_key = _env_key(assertion.formula, mid_env)
             if env_key is not None:
                 dedupe = (id(mid_state), env_key)
                 if dedupe in seen:
@@ -1194,7 +1194,7 @@ class InterferenceChecker:
             counter["cases"] += 1
             if not self._memo_holds(source.consistency, mid_state, source_env):
                 continue
-            if not self._memo_holds_keyed(assertion.formula, mid_state, mid_env, env_key):
+            if not self._memo_holds(assertion.formula, mid_state, mid_env, env_key):
                 continue
             witness = self._inject_source(
                 assertion, mid_state, mid_env, source, source_args, mode, stmt
@@ -1249,14 +1249,14 @@ class InterferenceChecker:
                     continue  # long write locks forbid this interleaving
                 mid_state = target_trace.states[position]
                 mid_env = target_trace.envs[position]
-                env_key = self._env_key(assertion.formula, mid_env)
+                env_key = _env_key(assertion.formula, mid_env)
                 if env_key is not None:
                     dedupe = (id(mid_state), env_key)
                     if dedupe in seen:
                         continue  # equivalent to an already-examined position
                     seen.add(dedupe)
                 counter["cases"] += 1
-                if not self._memo_holds_keyed(assertion.formula, mid_state, mid_env, env_key):
+                if not self._memo_holds(assertion.formula, mid_state, mid_env, env_key):
                     continue
                 if mode == "statement":
                     after = self._memo_stmt_after(stmt, mid_state, source_trace.envs[k])
@@ -1271,25 +1271,21 @@ class InterferenceChecker:
                 else:  # rollback
                     res = assertion.formula.resources()
                     current = mid_state.fork()
-                    flipped = False
                     for event in reversed(prefix):
                         if not event.is_write:
                             continue
                         _apply_undo(current, _event_undo(event))
                         # an undo with a footprint disjoint from the
                         # assertion cannot have changed its value
-                        if not self._res_overlaps(res, event.statement):
-                            continue
-                        if not _holds(assertion.formula, current, mid_env):
-                            flipped = True
-                            break
-                    if flipped:
-                        return Witness(
-                            "rollback",
-                            f"rollback of {source.name} after {prefix_end} ops"
-                            f" flips {assertion.label} (target read dirty data)",
-                            state=mid_state,
-                        )
+                        if self._res_overlaps(res, event.statement) and not _holds(
+                            assertion.formula, current, mid_env
+                        ):
+                            return Witness(
+                                "rollback",
+                                f"rollback of {source.name} after {prefix_end} ops"
+                                f" flips {assertion.label} (target read dirty data)",
+                                state=mid_state,
+                            )
         return None
 
     def _inject_source(
@@ -1318,12 +1314,12 @@ class InterferenceChecker:
         except EvaluationError:
             return None
         if mode == "statement":
-            akey = self._env_key(assertion.formula, mid_env)
+            akey = _env_key(assertion.formula, mid_env)
             for event in source_trace.events:
                 if event.statement == stmt and event.is_write:
-                    if self._memo_holds_keyed(
+                    if self._memo_holds(
                         assertion.formula, event.before, mid_env, akey
-                    ) and not self._memo_holds_keyed(
+                    ) and not self._memo_holds(
                         assertion.formula, event.after, mid_env, akey
                     ):
                         return Witness(
@@ -1338,29 +1334,20 @@ class InterferenceChecker:
             # soundness assumption the disjointness tier rests on — so
             # non-overlapping undo steps skip the evaluation
             res = assertion.formula.resources()
-            write_positions = [
-                k for k, event in enumerate(source_trace.events) if event.is_write
-            ]
-            akey = self._env_key(assertion.formula, mid_env)
-            for k in write_positions:
-                undo_events = [
-                    event
-                    for event in reversed(source_trace.events[: k + 1])
-                    if event.is_write
-                ]
-                if not any(
-                    self._res_overlaps(res, event.statement) for event in undo_events
-                ):
+            writes = [(k, event) for k, event in enumerate(source_trace.events) if event.is_write]
+            overlapping = [self._res_overlaps(res, event.statement) for _k, event in writes]
+            akey = _env_key(assertion.formula, mid_env)
+            for j, (k, event) in enumerate(writes):
+                # rolling back after write j undoes writes j, j-1, ..., 0
+                if not any(overlapping[: j + 1]):
                     continue
-                mid = source_trace.events[k].after
-                if not self._memo_holds_keyed(assertion.formula, mid, mid_env, akey):
+                mid = event.after
+                if not self._memo_holds(assertion.formula, mid, mid_env, akey):
                     continue
-                for event, rolled in zip(
-                    undo_events, _cached_undo_states(source_trace, k)
-                ):
-                    if not self._res_overlaps(res, event.statement):
-                        continue
-                    if not self._memo_holds_keyed(assertion.formula, rolled, mid_env, akey):
+                for i, rolled in zip(range(j, -1, -1), _cached_undo_states(source_trace, k)):
+                    if overlapping[i] and not self._memo_holds(
+                        assertion.formula, rolled, mid_env, akey
+                    ):
                         return Witness(
                             "rollback",
                             f"rollback of {source.name} after {k + 1} ops flips {assertion.label}",

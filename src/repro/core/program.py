@@ -28,15 +28,10 @@ import itertools
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Mapping, Sequence
 
-from repro.core.formula import (
-    Formula,
-    RowAttr,
-    TRUE,
-    _bind_row,
-)
+from repro.core.formula import Formula, RowAttr, TRUE
 from repro.core.resources import ArrayResource, Resource, ScalarResource, TableResource
 from repro.core.state import DbState, Row
-from repro.core.terms import Field, Item, Local, LogicalVar, Param, Term, Value
+from repro.core.terms import Field, Item, Local, LogicalVar, Param, Term, Value, compiled
 from repro.errors import EvaluationError, ProgramError
 
 #: Fuel cap for concrete execution of While loops (model checking only).
@@ -334,10 +329,9 @@ def _where_resources(table: str, row: str, where: Formula) -> frozenset[Resource
 
 
 def _match(where: Formula, row_var: str, state: DbState, env: dict) -> Callable[[Row], bool]:
-    def predicate(row: Row) -> bool:
-        return where.evaluate(state, _bind_row(env, row_var, row))
-
-    return predicate
+    """``where`` as a row predicate, with ``row_var`` bound to the row."""
+    fn = compiled(where)
+    return lambda row: fn(state, env, {row_var: row})
 
 
 @dataclass(frozen=True)
@@ -364,7 +358,8 @@ class Select(Statement):
         return frozenset(out)
 
     def execute(self, state: DbState, env: dict) -> None:
-        rows = [dict(row) for row in state.rows(self.table) if _match(self.where, self.row, state, env)(row)]
+        match = _match(self.where, self.row, state, env)
+        rows = [dict(row) for row in state.rows(self.table) if match(row)]
         if self.attrs is not None:
             rows = [{attr: row.get(attr) for attr in self.attrs} for row in rows]
         env[self.into] = tuple(tuple(sorted(row.items())) for row in rows)
@@ -400,8 +395,9 @@ class SelectScalar(Statement):
         return frozenset(out)
 
     def execute(self, state: DbState, env: dict) -> None:
+        match = _match(self.where, self.row, state, env)
         for row in state.rows(self.table):
-            if self.where.evaluate(state, _bind_row(env, self.row, row)):
+            if match(row):
                 env[self.into] = row.get(self.attr, self.default)
                 return
         env[self.into] = self.default
@@ -429,11 +425,8 @@ class SelectCount(Statement):
         return _where_resources(self.table, self.row, self.where)
 
     def execute(self, state: DbState, env: dict) -> None:
-        count = 0
-        for row in state.rows(self.table):
-            if self.where.evaluate(state, _bind_row(env, self.row, row)):
-                count += 1
-        env[self.into] = count
+        match = _match(self.where, self.row, state, env)
+        env[self.into] = sum(1 for row in state.rows(self.table) if match(row))
 
     @property
     def is_db_read(self) -> bool:
@@ -478,9 +471,11 @@ class Update(Statement):
         return frozenset(out)
 
     def execute(self, state: DbState, env: dict) -> None:
+        sets = tuple((attr, compiled(term)) for attr, term in self.sets)
+
         def updater(row: Row) -> Mapping[str, Value]:
-            row_env = _bind_row(env, self.row, row)
-            return {attr: term.evaluate(state, row_env) for attr, term in self.sets}
+            rows = {self.row: row}
+            return {attr: fn(state, env, rows) for attr, fn in sets}
 
         state.update_rows(self.table, _match(self.where, self.row, state, env), updater)
 

@@ -620,30 +620,42 @@ def _import_lp():
 # -- LP-free fast path -------------------------------------------------------
 
 
-def _as_inequalities(constraints: Sequence[_IntConstraint]) -> list:
-    """Normalise to ``coeffs . x <= bound`` rows (equalities become pairs)."""
+def _indexed_rows(constraints: Sequence[_IntConstraint], index: dict) -> list:
+    """``coeffs . x <= bound`` rows over variable positions.
+
+    ``coeffs`` is a tuple of ``(position, coefficient)`` pairs in the
+    constraint's own order; an equality becomes a ``<=`` / ``>=`` pair.
+    Positions are plain ints, so the propagation and elimination loops
+    below hash and compare no terms.
+    """
     rows: list = []
     for constraint in constraints:
-        if constraint.rel == "<=":
-            rows.append((constraint.coeffs, constraint.bound))
-        else:  # ==  ->  <= and >=
-            rows.append((constraint.coeffs, constraint.bound))
-            rows.append(
-                ({var: -coeff for var, coeff in constraint.coeffs.items()}, -constraint.bound)
-            )
+        coeffs = tuple((index[var], coeff) for var, coeff in constraint.coeffs.items())
+        rows.append((coeffs, constraint.bound))
+        if constraint.rel == "==":
+            rows.append((tuple((i, -coeff) for i, coeff in coeffs), -constraint.bound))
     return rows
 
 
-def _propagate_bounds(rows: Sequence, var_list: Sequence):
+def _satisfies(rows: Sequence, values: Sequence) -> bool:
+    """Whether the positional ``values`` satisfy every ``<=`` row."""
+    for coeffs, bound in rows:
+        if sum(coeff * values[i] for i, coeff in coeffs) > bound:
+            return False
+    return True
+
+
+def _propagate_bounds(rows: Sequence, n: int):
     """Fixpoint interval propagation with integer tightening.
 
-    Returns ``(lower, upper)`` bound dicts (entries may stay ``None``), or
-    ``None`` when a variable's interval became empty — which, because every
-    derived bound uses floor/ceil division, refutes *integer* solutions even
-    for rationally feasible systems (e.g. ``2x <= 1 ∧ 2x >= 1``).
+    Returns ``(lower, upper)`` bound lists by variable position (entries may
+    stay ``None``), or ``None`` when a variable's interval became empty —
+    which, because every derived bound uses floor/ceil division, refutes
+    *integer* solutions even for rationally feasible systems (e.g.
+    ``2x <= 1 ∧ 2x >= 1``).
     """
-    lower: dict = {var: None for var in var_list}
-    upper: dict = {var: None for var in var_list}
+    lower: list = [None] * n
+    upper: list = [None] * n
     for _ in range(FAST_PROP_ROUNDS):
         changed = False
         for coeffs, bound in rows:
@@ -651,11 +663,11 @@ def _propagate_bounds(rows: Sequence, var_list: Sequence):
                 if 0 > bound:
                     return None
                 continue
-            for var, coeff in coeffs.items():
+            for var, coeff in coeffs:
                 residual = bound
                 usable = True
-                for other, other_coeff in coeffs.items():
-                    if other is var or other == var:
+                for other, other_coeff in coeffs:
+                    if other == var:
                         continue
                     if other_coeff > 0:
                         if lower[other] is None:
@@ -690,15 +702,16 @@ def _propagate_bounds(rows: Sequence, var_list: Sequence):
     return lower, upper
 
 
-def _fourier_motzkin_refutes(rows: Sequence, var_list: Sequence) -> bool:
+def _fourier_motzkin_refutes(rows: Sequence, n: int) -> bool:
     """True when pairwise elimination derives ``0 <= negative`` (sound UNSAT).
 
-    All combinations scale by positive integers, so the arithmetic stays
-    exact over ``int``; rational infeasibility implies integer infeasibility.
-    Row growth is capped — hitting the cap just means "not refuted here".
+    Variables are eliminated by position, first to last.  All combinations
+    scale by positive integers, so the arithmetic stays exact over ``int``;
+    rational infeasibility implies integer infeasibility.  Row growth is
+    capped — hitting the cap just means "not refuted here".
     """
     current = [(dict(coeffs), bound) for coeffs, bound in rows]
-    for var in var_list:
+    for var in range(n):
         uppers, lowers, rest = [], [], []
         for coeffs, bound in current:
             coeff = coeffs.get(var, 0)
@@ -736,45 +749,46 @@ def _fast_int_solve(constraints: Sequence[_IntConstraint], var_list: Sequence):
     SAT answers always carry a verified assignment; UNSAT answers come from
     integer-tightened bounds propagation, exhaustive enumeration of a small
     implied box, or Fourier–Motzkin rational refutation — all sound.
-    UNKNOWN means "hand the cube to the LP fallback".
+    UNKNOWN means "hand the cube to the LP fallback".  The work runs on
+    variable positions (``var_list`` order); only a model maps back to terms.
     """
-    rows = _as_inequalities(constraints)
-    propagated = _propagate_bounds(rows, var_list)
+    n = len(var_list)
+    rows = _indexed_rows(constraints, {var: i for i, var in enumerate(var_list)})
+    propagated = _propagate_bounds(rows, n)
     if propagated is None:
         return Verdict.UNSAT, None
     lower, upper = propagated
 
-    if all(lower[var] is not None and upper[var] is not None for var in var_list):
+    if all(low is not None and high is not None for low, high in zip(lower, upper)):
         box = 1
-        for var in var_list:
-            box *= upper[var] - lower[var] + 1
+        for low, high in zip(lower, upper):
+            box *= high - low + 1
             if box > FAST_BOX_LIMIT:
                 break
         if box <= FAST_BOX_LIMIT:
             # the box contains every integer solution (bounds are implied by
             # the constraints), so enumeration is a complete decision
-            ranges = [range(lower[var], upper[var] + 1) for var in var_list]
+            ranges = [range(low, high + 1) for low, high in zip(lower, upper)]
             for candidate in itertools.product(*ranges):
-                assignment = dict(zip(var_list, candidate))
-                if _check_int_assignment(constraints, assignment):
-                    return Verdict.SAT, assignment
+                if _satisfies(rows, candidate):
+                    return Verdict.SAT, dict(zip(var_list, candidate))
             return Verdict.UNSAT, None
 
     # cheap candidate probes at the interval corners / zero
-    probes = []
-    probes.append({var: lower[var] if lower[var] is not None else (upper[var] or 0) for var in var_list})
-    probes.append({var: upper[var] if upper[var] is not None else (lower[var] or 0) for var in var_list})
-    probes.append(
-        {
-            var: min(max(0, lower[var] or 0), upper[var] if upper[var] is not None else max(0, lower[var] or 0))
-            for var in var_list
-        }
+    bounds = list(zip(lower, upper))
+    probes = (
+        [low if low is not None else (high or 0) for low, high in bounds],
+        [high if high is not None else (low or 0) for low, high in bounds],
+        [
+            min(max(0, low or 0), high if high is not None else max(0, low or 0))
+            for low, high in bounds
+        ],
     )
-    for assignment in probes:
-        if _check_int_assignment(constraints, assignment):
-            return Verdict.SAT, assignment
+    for values in probes:
+        if _satisfies(rows, values):
+            return Verdict.SAT, dict(zip(var_list, values))
 
-    if _fourier_motzkin_refutes(rows, var_list):
+    if _fourier_motzkin_refutes(rows, n):
         return Verdict.UNSAT, None
     return Verdict.UNKNOWN, None
 
@@ -812,6 +826,7 @@ def _solve_int_constraints(constraints: Sequence[_IntConstraint], variables: dic
     np, linprog = lp
     _memo_stats["lp_calls"] += 1
     index = {var: i for i, var in enumerate(var_list)}
+    rows = _indexed_rows(constraints, index)
 
     a_ub, b_ub, a_eq, b_eq = [], [], [], []
     for constraint in constraints:
@@ -848,17 +863,15 @@ def _solve_int_constraints(constraints: Sequence[_IntConstraint], variables: dic
             4096,
         )
         for candidate in candidates:
-            assignment = dict(zip(var_list, candidate))
-            if _check_int_assignment(constraints, assignment):
-                return Verdict.SAT, assignment
+            if _satisfies(rows, candidate):
+                return Verdict.SAT, dict(zip(var_list, candidate))
     # small-box enumeration around the relaxed point
     if n <= MAX_BOX_VARS:
         centers = [int(round(v)) for v in relaxed]
         ranges = [range(c - BOX_RADIUS, c + BOX_RADIUS + 1) for c in centers]
         for candidate in itertools.product(*ranges):
-            assignment = dict(zip(var_list, candidate))
-            if _check_int_assignment(constraints, assignment):
-                return Verdict.SAT, assignment
+            if _satisfies(rows, candidate):
+                return Verdict.SAT, dict(zip(var_list, candidate))
     return Verdict.UNKNOWN, None
 
 

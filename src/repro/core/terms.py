@@ -35,11 +35,19 @@ Every term supports three generic operations used throughout the library:
 * :meth:`Term.evaluate` — concrete evaluation against a database state and a
   variable environment (used by the bounded model checker and the dynamic
   semantic-correctness checker).
+
+Evaluation is compiled: each node's ``_compile`` builds a Python closure
+``fn(state, env, rows)`` from its children's closures, once per node (see
+:func:`compiled`), so repeated evaluation never walks the tree.  ``rows``
+holds the bindings of enclosing quantifiers: row-variable names map to the
+current row, :class:`~repro.core.formula.BoundVar` nodes to integers.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterator, Mapping, Union
 
 from repro.errors import EvaluationError, SortError
@@ -201,6 +209,11 @@ class Term(metaclass=HashConsMeta):
 
     def evaluate(self, state: "DbState", env: Env) -> Value:
         """Evaluate against a concrete database state and environment."""
+        fn = self.__dict__.get("_hc_fn") or compiled(self)
+        return fn(state, env, NO_ROWS)
+
+    def _compile(self):
+        """Per-class body of :func:`compiled`: build ``fn(state, env, rows)``."""
         raise NotImplementedError
 
     def fingerprint(self) -> str:
@@ -230,6 +243,41 @@ class Term(metaclass=HashConsMeta):
 
     def __neg__(self) -> "Neg":
         return Neg(self)
+
+
+#: The ``rows`` of a top-level evaluation: no quantifier binding yet.
+#: Closures never mutate ``rows``; a quantifier extends a copy.
+NO_ROWS: Mapping = MappingProxyType({})
+
+
+def compiled(node):
+    """``node``'s evaluation closure ``fn(state, env, rows)``, built once.
+
+    The closure is cached on the node as ``_hc_fn`` (which pickling strips,
+    like every ``_hc_*`` cache).  Two threads compiling the same fresh node
+    build equivalent closures and the last store wins, so no lock is needed.
+    """
+    fn = node.__dict__.get("_hc_fn")
+    if fn is None:
+        fn = node._compile()
+        object.__setattr__(node, "_hc_fn", fn)
+    return fn
+
+
+def _constant(value):
+    return lambda state, env, rows: value
+
+
+def _env_lookup(key, what: str):
+    """A closure reading ``key`` from the environment, else raising."""
+
+    def fn(state, env, rows):
+        try:
+            return env[key]
+        except KeyError:
+            raise EvaluationError(f"unbound {what}")
+
+    return fn
 
 
 def _coerce(value: "Term | int | bool | str") -> Term:
@@ -271,8 +319,8 @@ class IntConst(Term):
     def atoms(self) -> Iterator[Term]:
         return iter(())
 
-    def evaluate(self, state: "DbState", env: Env) -> Value:
-        return self.value
+    def _compile(self):
+        return _constant(self.value)
 
     def __repr__(self) -> str:
         return str(self.value)
@@ -294,8 +342,8 @@ class BoolConst(Term):
     def atoms(self) -> Iterator[Term]:
         return iter(())
 
-    def evaluate(self, state: "DbState", env: Env) -> Value:
-        return self.value
+    def _compile(self):
+        return _constant(self.value)
 
     def __repr__(self) -> str:
         return "true" if self.value else "false"
@@ -317,8 +365,8 @@ class StrConst(Term):
     def atoms(self) -> Iterator[Term]:
         return iter(())
 
-    def evaluate(self, state: "DbState", env: Env) -> Value:
-        return self.value
+    def _compile(self):
+        return _constant(self.value)
 
     def __repr__(self) -> str:
         return repr(self.value)
@@ -351,11 +399,8 @@ class Local(_Ref):
     def sort(self) -> str:
         return self.var_sort
 
-    def evaluate(self, state: "DbState", env: Env) -> Value:
-        try:
-            return env[self]
-        except KeyError:
-            raise EvaluationError(f"unbound local variable {self.name!r}")
+    def _compile(self):
+        return _env_lookup(self, f"local variable {self.name!r}")
 
     def __repr__(self) -> str:
         return self.name
@@ -372,11 +417,8 @@ class Param(_Ref):
     def sort(self) -> str:
         return self.var_sort
 
-    def evaluate(self, state: "DbState", env: Env) -> Value:
-        try:
-            return env[self]
-        except KeyError:
-            raise EvaluationError(f"unbound parameter {self.name!r}")
+    def _compile(self):
+        return _env_lookup(self, f"parameter {self.name!r}")
 
     def __repr__(self) -> str:
         return f":{self.name}"
@@ -393,11 +435,8 @@ class LogicalVar(_Ref):
     def sort(self) -> str:
         return self.var_sort
 
-    def evaluate(self, state: "DbState", env: Env) -> Value:
-        try:
-            return env[self]
-        except KeyError:
-            raise EvaluationError(f"unbound logical variable {self.name!r}")
+    def _compile(self):
+        return _env_lookup(self, f"logical variable {self.name!r}")
 
     def __repr__(self) -> str:
         return self.name.upper()
@@ -414,8 +453,9 @@ class Item(_Ref):
     def sort(self) -> str:
         return self.var_sort
 
-    def evaluate(self, state: "DbState", env: Env) -> Value:
-        return state.read_item(self.name)
+    def _compile(self):
+        name = self.name
+        return lambda state, env, rows: state.read_item(name)
 
     def __repr__(self) -> str:
         return f"db:{self.name}"
@@ -446,11 +486,16 @@ class Field(Term):
         yield self
         yield from self.index.atoms()
 
-    def evaluate(self, state: "DbState", env: Env) -> Value:
-        index = self.index.evaluate(state, env)
-        if not isinstance(index, int):
-            raise EvaluationError(f"array index of {self!r} is not an integer")
-        return state.read_field(self.array, index, self.attr)
+    def _compile(self):
+        index_fn, array, attr = compiled(self.index), self.array, self.attr
+
+        def fn(state, env, rows):
+            index = index_fn(state, env, rows)
+            if not isinstance(index, int):
+                raise EvaluationError(f"array index of {self!r} is not an integer")
+            return state.read_field(array, index, attr)
+
+        return fn
 
     def __repr__(self) -> str:
         suffix = f".{self.attr}" if self.attr is not None else ""
@@ -470,6 +515,7 @@ class _BinOp(Term):
     right: Term
 
     _symbol = "?"
+    _apply = None  # the ``operator`` function, set per subclass
 
     @property
     def sort(self) -> str:
@@ -482,15 +528,17 @@ class _BinOp(Term):
         yield from self.left.atoms()
         yield from self.right.atoms()
 
-    def _apply(self, lhs: int, rhs: int) -> int:
-        raise NotImplementedError
+    def _compile(self):
+        left, right, apply = compiled(self.left), compiled(self.right), type(self)._apply
 
-    def evaluate(self, state: "DbState", env: Env) -> Value:
-        lhs = self.left.evaluate(state, env)
-        rhs = self.right.evaluate(state, env)
-        if not isinstance(lhs, int) or not isinstance(rhs, int):
-            raise EvaluationError(f"non-integer operand in {self!r}")
-        return self._apply(lhs, rhs)
+        def fn(state, env, rows):
+            lhs = left(state, env, rows)
+            rhs = right(state, env, rows)
+            if not isinstance(lhs, int) or not isinstance(rhs, int):
+                raise EvaluationError(f"non-integer operand in {self!r}")
+            return apply(lhs, rhs)
+
+        return fn
 
     def __repr__(self) -> str:
         return f"({self.left!r} {self._symbol} {self.right!r})"
@@ -501,9 +549,7 @@ class Add(_BinOp):
     """Integer addition."""
 
     _symbol = "+"
-
-    def _apply(self, lhs: int, rhs: int) -> int:
-        return lhs + rhs
+    _apply = operator.add
 
 
 @dataclass(frozen=True)
@@ -511,9 +557,7 @@ class Sub(_BinOp):
     """Integer subtraction."""
 
     _symbol = "-"
-
-    def _apply(self, lhs: int, rhs: int) -> int:
-        return lhs - rhs
+    _apply = operator.sub
 
 
 @dataclass(frozen=True)
@@ -521,9 +565,7 @@ class Mul(_BinOp):
     """Integer multiplication."""
 
     _symbol = "*"
-
-    def _apply(self, lhs: int, rhs: int) -> int:
-        return lhs * rhs
+    _apply = operator.mul
 
 
 @dataclass(frozen=True)
@@ -542,11 +584,16 @@ class Neg(Term):
     def atoms(self) -> Iterator[Term]:
         yield from self.operand.atoms()
 
-    def evaluate(self, state: "DbState", env: Env) -> Value:
-        value = self.operand.evaluate(state, env)
-        if not isinstance(value, int):
-            raise EvaluationError(f"non-integer operand in {self!r}")
-        return -value
+    def _compile(self):
+        operand = compiled(self.operand)
+
+        def fn(state, env, rows):
+            value = operand(state, env, rows)
+            if not isinstance(value, int):
+                raise EvaluationError(f"non-integer operand in {self!r}")
+            return -value
+
+        return fn
 
     def __repr__(self) -> str:
         return f"(-{self.operand!r})"

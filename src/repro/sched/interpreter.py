@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, Mapping
 
-from repro.core.formula import Formula, _bind_row
+from repro.core.formula import Formula
 from repro.core.program import (
     Delete,
     ForEach,
@@ -40,7 +40,7 @@ from repro.core.program import (
     Write,
 )
 from repro.core.state import DbState
-from repro.core.terms import Field, Item, Local
+from repro.core.terms import Field, Item, Local, compiled
 from repro.engine.manager import Engine
 from repro.engine.transaction import Txn
 from repro.errors import EvaluationError, ProgramError, ScheduleError
@@ -71,10 +71,8 @@ def _local_eval(term, env: dict):
 
 
 def _row_predicate(where: Formula, row_var: str, env: dict) -> Callable[[dict], bool]:
-    def predicate(row: dict) -> bool:
-        return where.evaluate(_EMPTY, _bind_row(env, row_var, row))
-
-    return predicate
+    fn = compiled(where)
+    return lambda row: fn(_EMPTY, env, {row_var: row})
 
 
 def steps(
@@ -167,8 +165,8 @@ def steps(
                 predicate = _row_predicate(stmt.where, stmt.row, env)
 
                 def changes(row: dict, sets=stmt.sets, row_var=stmt.row) -> dict:
-                    row_env = _bind_row(env, row_var, row)
-                    return {attr: term.evaluate(_EMPTY, row_env) for attr, term in sets}
+                    rows = {row_var: row}
+                    return {attr: compiled(term)(_EMPTY, env, rows) for attr, term in sets}
 
                 yield (lambda t=stmt.table, p=predicate, c=changes: engine.update(txn, t, p, c))
             elif isinstance(stmt, Delete):

@@ -159,12 +159,13 @@ class TestLazyScipy:
             assert "scipy" not in sys.modules, "prover imported scipy eagerly"
             """
         )
+        root = Path(__file__).resolve().parents[2]
         result = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True,
             text=True,
-            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
-            cwd="/root/repo",
+            env={"PYTHONPATH": str(root / "src"), "PATH": "/usr/bin:/bin"},
+            cwd=root,
         )
         assert result.returncode == 0, result.stderr
 

@@ -8,17 +8,37 @@ that ``P`` is preserved across ``T_j``'s *complete* execution:
 
     { P  ∧  I_j ∧ B_j ∧ path-condition }   T_j   { P }
 
-This module computes the ingredients symbolically for conventional-model
-transaction bodies: every execution path (conditionals forked, loops
-unrolled) together with the path condition and the *final store* — the
-mapping from written database locations to their final values, expressed in
-terms of the transaction's initial state and parameters.
+This module computes the ingredients symbolically: every execution path
+(conditionals forked, loops unrolled) together with the path condition, the
+*final store* — the mapping from written database locations to their final
+values, expressed in terms of the transaction's initial state and
+parameters — and, in program order, every write the path performs.
 
 Array writes whose index is symbolic introduce aliasing: applying the final
 store to ``P`` case-splits on which array references of ``P`` coincide with
-written locations (:func:`apply_store`).  Bodies containing relational
-statements, loops beyond the unroll bound, or irreducible aliasing return
-``None`` and the caller falls back to bounded model checking.
+written locations (:func:`apply_store`).
+
+Relational writes become :class:`TableEffect` records, and
+:func:`apply_table_effect` carries an assertion back across one of them —
+the set-transformer reading of the paper's Section 4 statements:
+
+* INSERT of row ``v``: ``∀r∈T.φ ↦ ∀r∈T.φ ∧ φ[v/r]``, ``∃r∈T.φ ↦ ∃r∈T.φ ∨
+  φ[v/r]``, and ``COUNT`` case-splits on whether ``v`` matches;
+* DELETE where ``δ``: a universal is implied by the old one, an existential
+  needs every witness to survive (``φ(r) → ¬δ(r)`` for a fresh row ``r``);
+* UPDATE where ``δ`` set ``a := e``: ``∀r∈T. (δ → φ[r.a ↦ e]) ∧ (¬δ → φ)``,
+  proved from the old universal plus ``δ(r) ∧ φ(r) → φ[r.a ↦ e](r)`` for a
+  fresh row ``r``.
+
+Quantified subformulas stay opaque atoms to the prover; the transformers
+only add quantifier-free instances next to them.  A transformer that is not
+exact returns a formula that implies the true post-value where it occurs
+positively (and one implied by it where negatively), so a VALID verdict on
+the transformed goal is sound.  SELECTs bind opaque locals, and a loop over
+a row buffer havocs the attributes its UPDATEs set.  ``While`` loops are
+unrolled up to a bound; relational bodies with a ``While``, and bodies with
+irreducible aliasing, return ``None`` and the caller falls back to bounded
+model checking.
 """
 
 from __future__ import annotations
@@ -26,19 +46,55 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from repro.core.formula import Cmp, Formula, Not, TRUE, conj, disj, eq, ne
+from repro.core.formula import (
+    And,
+    BoolAtom,
+    Bottom,
+    BoundVar,
+    Cmp,
+    CountWhere,
+    ExistsRow,
+    ForAllInts,
+    ForAllRows,
+    Formula,
+    Implies,
+    InTable,
+    Not,
+    Or,
+    RowAttr,
+    TRUE,
+    conj,
+    disj,
+    eq,
+    implies,
+    ne,
+)
 from repro.core.program import (
+    Delete,
+    ForEach,
     If,
+    Insert,
     LocalAssign,
     Read,
     ReadRecord,
+    Select,
+    SelectCount,
+    SelectScalar,
     Statement,
     TransactionType,
+    Update,
     While,
     Write,
 )
 from repro.core.prover import simplify, simplify_term
-from repro.core.terms import Field, IntConst, Item, Local, Term
+from repro.core.resources import TableResource
+from repro.core.sp import fresh_logical
+from repro.core.terms import Add, Field, IntConst, Item, Local, Mul, Neg, Sub, Term
+
+#: Version of the tier-2 effect semantics; part of the persistent
+#: verdict-store salt (:func:`repro.core.persist.store_salt`), so verdicts
+#: decided before relational effects existed are never loaded.
+EFFECTS_VERSION = "2"
 
 #: Default loop-unroll bound for symbolic execution.
 DEFAULT_UNROLL = 2
@@ -62,6 +118,50 @@ class SymbolicPath:
     store: dict = field(default_factory=dict)
     writes: list = field(default_factory=list)
     env: dict = field(default_factory=dict)
+    #: every write in program order: ``(target, value)`` location pairs
+    #: and :class:`TableEffect` records
+    effects: list = field(default_factory=list)
+    #: whether the path executed a relational statement
+    relational: bool = False
+
+    def fork(self, condition: Formula | None = None, env: dict | None = None) -> "SymbolicPath":
+        """A copy sharing nothing mutable with this path."""
+        return SymbolicPath(
+            self.condition if condition is None else condition,
+            dict(self.store),
+            list(self.writes),
+            dict(self.env) if env is None else env,
+            list(self.effects),
+            self.relational,
+        )
+
+
+#: Kinds of :class:`TableEffect`.
+INSERT = "insert"
+DELETE = "delete"
+UPDATE = "update"
+UNINSERT = "uninsert"
+HAVOC = "havoc"
+
+
+@dataclass(frozen=True)
+class TableEffect:
+    """One relational write with its terms resolved.
+
+    ``insert`` adds the row ``values`` (attribute/term pairs); ``delete``
+    removes every row satisfying ``where``; ``update`` assigns ``values``
+    (terms over the row variable ``row``) to every row satisfying
+    ``where``; ``uninsert`` — the undo of an insert — removes one
+    occurrence of the row ``values``; ``havoc`` gives the attributes named
+    in ``values`` unknown values in unknown rows (an UPDATE looped over a
+    row buffer, or the undo of an UPDATE).
+    """
+
+    kind: str
+    table: str
+    values: tuple = ()
+    where: Formula = TRUE
+    row: str = "r"
 
 
 class _Unsupported(Exception):
@@ -113,11 +213,12 @@ def symbolic_paths(
     unroll: int = DEFAULT_UNROLL,
     context: Formula | None = None,
 ) -> list | None:
-    """All execution paths of a conventional-model body, or None.
+    """All execution paths of a body, or None.
 
     ``context`` defaults to ``I_j ∧ B_j``; the snapshot equalities of the
     transaction's logical variables are conjoined as well, giving ``Q``-style
-    assertions access to initial values.
+    assertions access to initial values.  INSERT, DELETE and UPDATE append a
+    :class:`TableEffect` to the path; SELECTs bind a fresh opaque value.
     """
     base = conj(
         txn.consistency if context is None else context,
@@ -125,9 +226,12 @@ def symbolic_paths(
         *(eq(logical, term) for logical, term in txn.snapshot),
     )
     paths: list[SymbolicPath] = []
+    has_loop = any(isinstance(stmt, While) for stmt in txn.statements())
 
     def run(stmts: tuple, path: SymbolicPath) -> None:
         if not stmts:
+            if path.relational and has_loop:
+                raise _Unsupported("loop in a relational body")
             paths.append(path)
             return
         stmt, rest = stmts[0], stmts[1:]
@@ -136,7 +240,7 @@ def symbolic_paths(
             prior = _lookup(path.writes, resolved)
             new_env = dict(path.env)
             new_env[stmt.into] = prior if prior is not None else resolved
-            run(rest, SymbolicPath(path.condition, dict(path.store), list(path.writes), new_env))
+            run(rest, path.fork(env=new_env))
             return
         if isinstance(stmt, ReadRecord):
             new_env = dict(path.env)
@@ -145,63 +249,80 @@ def symbolic_paths(
                 resolved = Field(stmt.array, index, attr, local.var_sort)
                 prior = _lookup(path.writes, resolved)
                 new_env[local] = prior if prior is not None else resolved
-            run(rest, SymbolicPath(path.condition, dict(path.store), list(path.writes), new_env))
+            run(rest, path.fork(env=new_env))
             return
         if isinstance(stmt, LocalAssign):
             new_env = dict(path.env)
             new_env[stmt.into] = _resolve(stmt.value, path.env)
-            run(rest, SymbolicPath(path.condition, dict(path.store), list(path.writes), new_env))
+            run(rest, path.fork(env=new_env))
             return
         if isinstance(stmt, Write):
             target = stmt.target
             if isinstance(target, Field):
                 target = Field(target.array, _resolve(target.index, path.env), target.attr, target.var_sort)
             value = _resolve(stmt.value, path.env)
-            new_writes = list(path.writes) + [(target, value)]
-            new_store = dict(path.store)
-            for key in list(new_store):
+            forked = path.fork()
+            forked.writes.append((target, value))
+            forked.effects.append((target, value))
+            for key in list(forked.store):
                 alias = _may_alias(key, target)
                 if alias is True:
-                    del new_store[key]
+                    del forked.store[key]
                 elif alias is None:
                     raise _Unsupported(f"possibly-aliasing writes {key!r} / {target!r}")
-            new_store[target] = value
-            run(rest, SymbolicPath(path.condition, new_store, new_writes, dict(path.env)))
+            forked.store[target] = value
+            run(rest, forked)
+            return
+        if isinstance(stmt, (Select, SelectScalar, SelectCount)):
+            new_env = dict(path.env)
+            new_env[stmt.into] = fresh_logical(stmt.into.var_sort)
+            forked = path.fork(env=new_env)
+            forked.relational = True
+            run(rest, forked)
+            return
+        if isinstance(stmt, (Insert, Delete, Update)):
+            forked = path.fork()
+            forked.relational = True
+            forked.effects.append(_table_effect(stmt, path.env))
+            run(rest, forked)
+            return
+        if isinstance(stmt, ForEach):
+            # any number of iterations over unknown rows: each UPDATE of the
+            # body havocs the attributes it sets; the bound locals end opaque
+            forked = path.fork()
+            forked.relational = True
+            for inner in stmt.body:
+                if not isinstance(inner, Update):
+                    raise _Unsupported(f"row-buffer loop body outside UPDATE: {inner!r}")
+                attrs = tuple(attr for attr, _term in inner.sets)
+                forked.effects.append(TableEffect(HAVOC, inner.table, attrs))
+            for _attr, local in stmt.bind:
+                forked.env[local] = fresh_logical(local.var_sort)
+            run(rest, forked)
             return
         if isinstance(stmt, If):
             guard = simplify(stmt.cond.substitute(path.env))
             for branch, taken in ((stmt.then, guard), (stmt.orelse, Not(guard))):
                 branch_cond = simplify(conj(path.condition, taken))
-                from repro.core.formula import Bottom
-
                 if isinstance(branch_cond, Bottom):
                     continue
-                run(
-                    tuple(branch) + rest,
-                    SymbolicPath(branch_cond, dict(path.store), list(path.writes), dict(path.env)),
-                )
+                run(tuple(branch) + rest, path.fork(condition=branch_cond))
             return
         if isinstance(stmt, While):
-            guard = simplify(stmt.cond.substitute(path.env))
             # unroll: 0..unroll iterations, each prefixed by the guard
             for count in range(unroll + 1):
                 unrolled: tuple = ()
                 for _ in range(count):
                     unrolled += (_Guard(stmt.cond),) + tuple(stmt.body)
                 unrolled += (_Guard(Not(stmt.cond)),)
-                run(
-                    unrolled + rest,
-                    SymbolicPath(path.condition, dict(path.store), list(path.writes), dict(path.env)),
-                )
+                run(unrolled + rest, path.fork())
             return
         if isinstance(stmt, _Guard):
             guard = simplify(stmt.cond.substitute(path.env))
-            from repro.core.formula import Bottom
-
             cond = simplify(conj(path.condition, guard))
             if isinstance(cond, Bottom):
                 return
-            run(rest, SymbolicPath(cond, dict(path.store), list(path.writes), dict(path.env)))
+            run(rest, path.fork(condition=cond))
             return
         raise _Unsupported(f"statement outside the symbolic fragment: {stmt!r}")
 
@@ -210,6 +331,51 @@ def symbolic_paths(
     except _Unsupported:
         return None
     return paths
+
+
+def _check_relational(*nodes) -> None:
+    """Reject relational statement parts that read the database directly.
+
+    A WHERE clause or value that mentions an item, a field or an aggregate
+    would be evaluated against the state at that point of the body, which a
+    resolved effect cannot name; such statements stay with BMC.
+    """
+    for node in nodes:
+        if isinstance(node, Formula):
+            reads = bool(node.resources()) or not node.projectable()
+        else:
+            reads = any(isinstance(atom, (Item, Field, CountWhere)) for atom in node.atoms())
+        if reads:
+            raise _Unsupported(f"relational statement reads the database: {node!r}")
+
+
+def _table_effect(stmt: Statement, env: dict) -> TableEffect:
+    """The resolved :class:`TableEffect` of an INSERT, DELETE or UPDATE."""
+    if isinstance(stmt, Insert):
+        _check_relational(*(term for _attr, term in stmt.values))
+        values = tuple((attr, _resolve(term, env)) for attr, term in stmt.values)
+        return TableEffect(INSERT, stmt.table, values)
+    _check_relational(stmt.where)
+    where = simplify(stmt.where.substitute(env))
+    if isinstance(stmt, Delete):
+        return TableEffect(DELETE, stmt.table, (), where, stmt.row)
+    _check_relational(*(term for _attr, term in stmt.sets))
+    sets = tuple((attr, _resolve(term, env)) for attr, term in stmt.sets)
+    return TableEffect(UPDATE, stmt.table, sets, where, stmt.row)
+
+
+def statement_effect(stmt: Statement) -> TableEffect | None:
+    """The table effect of one relational write statement, its locals free.
+
+    None for anything that is not an INSERT, DELETE or UPDATE, or whose
+    clauses read the database directly.
+    """
+    if not isinstance(stmt, (Insert, Delete, Update)):
+        return None
+    try:
+        return _table_effect(stmt, {})
+    except _Unsupported:
+        return None
 
 
 @dataclass(frozen=True)
@@ -317,3 +483,387 @@ def apply_store(assertion: Formula, store: dict) -> Formula | None:
 def apply_single_write(assertion: Formula, target: Term, value: Term) -> Formula | None:
     """The assertion's truth after one write statement (alias-aware)."""
     return apply_store(assertion, {target: value})
+
+
+# ---------------------------------------------------------------------------
+# relational effect transformers
+# ---------------------------------------------------------------------------
+
+
+def apply_table_effect(assertion: Formula, effect: TableEffect) -> Formula | None:
+    """The assertion's truth after one table effect, over the state before it.
+
+    The result implies the assertion's post-value (it is exact wherever it
+    can be), so it may stand on the conclusion side of a validity query.
+    Fresh logical variables it introduces stand for an arbitrary row and are
+    universally quantified by that query.  None when the assertion nests a
+    quantifier over the effect's table inside another one, reads the table
+    through an abstract predicate, or names an attribute the effect leaves
+    undetermined.
+    """
+    try:
+        return simplify(_Transformer(effect).formula(assertion, True, False))
+    except _Unsupported:
+        return None
+
+
+def apply_effects(assertion: Formula, store: dict, table_effects) -> Formula | None:
+    """:func:`apply_store`, then each table effect in the order given.
+
+    The store's values do not depend on the tables and the table effects
+    leave locations alone, so the two kinds commute; table effects are
+    applied innermost first (the last one executed comes first).
+    """
+    after = apply_store(assertion, store)
+    for effect in table_effects:
+        if after is None:
+            return None
+        after = apply_table_effect(after, effect)
+    return after
+
+
+def _touches(formula: Formula, table: str) -> bool:
+    return any(
+        isinstance(res, TableResource) and res.table == table for res in formula.resources()
+    )
+
+
+def _row_attrs(formula: Formula, row: str) -> dict:
+    """``{attr: [RowAttr, ...]}`` for every free attribute of ``row``."""
+    out: dict = {}
+    for atom in formula.atoms():
+        if isinstance(atom, RowAttr) and atom.row == row:
+            out.setdefault(atom.attr, []).append(atom)
+    return out
+
+
+def _instantiate(formula: Formula, row: str, values: tuple) -> Formula:
+    """``formula[v/row]`` for the row ``v`` given as attribute/term pairs."""
+    by_attr = dict(values)
+    mapping: dict = {}
+    for attr, atoms in _row_attrs(formula, row).items():
+        if attr not in by_attr:
+            raise _Unsupported(f"row attribute {row}.{attr} not among the row's values")
+        for atom in atoms:
+            mapping[atom] = by_attr[attr]
+    return formula.substitute(mapping)
+
+
+def _rename_row(node, old: str, new: str):
+    """A formula or term with row variable ``old`` renamed ``new``."""
+    mapping = {
+        atom: RowAttr(new, atom.attr, atom.var_sort)
+        for atom in node.atoms()
+        if isinstance(atom, RowAttr) and atom.row == old
+    }
+    return node.substitute(mapping)
+
+
+def _fresh_row(formula: Formula, row: str) -> Formula:
+    """``formula`` at an arbitrary row: each attribute of ``row`` a fresh variable."""
+    mapping = {
+        atom: fresh_logical(atom.var_sort)
+        for atoms in _row_attrs(formula, row).values()
+        for atom in atoms
+    }
+    return formula.substitute(mapping)
+
+
+def _row_match(row: str, values: tuple) -> Formula:
+    return conj(*(eq(RowAttr(row, attr, term.sort), term) for attr, term in values))
+
+
+def _top_counts(*terms: Term) -> list:
+    """The aggregates of ``terms`` outside any other aggregate."""
+    out: list = []
+    stack = list(terms)
+    while stack:
+        term = stack.pop()
+        if isinstance(term, CountWhere):
+            out.append(term)
+        elif isinstance(term, (Add, Sub, Mul)):
+            stack.extend((term.left, term.right))
+        elif isinstance(term, Neg):
+            stack.append(term.operand)
+        elif isinstance(term, Field):
+            stack.append(term.index)
+    return out
+
+
+def _swap_terms(term: Term, mapping: dict) -> Term:
+    """``term`` with whole subterms replaced (``CountWhere`` included)."""
+    if term in mapping:
+        return mapping[term]
+    if isinstance(term, (Add, Sub, Mul)):
+        return type(term)(_swap_terms(term.left, mapping), _swap_terms(term.right, mapping))
+    if isinstance(term, Neg):
+        return Neg(_swap_terms(term.operand, mapping))
+    if isinstance(term, Field):
+        return Field(term.array, _swap_terms(term.index, mapping), term.attr, term.var_sort)
+    return term
+
+
+class _Transformer:
+    """Carries formulas back across one :class:`TableEffect`.
+
+    ``positive`` is the polarity of the subformula inside the conclusion;
+    ``bound`` is set below a quantifier, where a fresh-row instance would no
+    longer be universally quantified at the top, so rules needing one
+    refuse.
+    """
+
+    def __init__(self, effect: TableEffect) -> None:
+        self.effect = effect
+        self.table = effect.table
+
+    def formula(self, f: Formula, positive: bool, bound: bool) -> Formula:
+        if not _touches(f, self.table):
+            return f
+        if isinstance(f, Not):
+            return Not(self.formula(f.operand, not positive, bound))
+        if isinstance(f, And):
+            return conj(*(self.formula(op, positive, bound) for op in f.operands))
+        if isinstance(f, Or):
+            return disj(*(self.formula(op, positive, bound) for op in f.operands))
+        if isinstance(f, Implies):
+            return implies(
+                self.formula(f.premise, not positive, bound),
+                self.formula(f.conclusion, positive, bound),
+            )
+        if isinstance(f, (Cmp, BoolAtom)):
+            return self.literal(f)
+        if isinstance(f, InTable) and f.table == self.table:
+            as_exists = ExistsRow(
+                f.table, "in!", conj(*(eq(RowAttr("in!", a, t.sort), t) for a, t in f.values))
+            )
+            after = self.quantifier(as_exists, positive, bound)
+            return f if after is as_exists else after
+        if isinstance(f, (ForAllRows, ExistsRow)):
+            if f.table == self.table:
+                return self.quantifier(f, positive, bound)
+            # a quantifier over another table: carry its body and where
+            # clause across, under the binder (``∀``'s where is negative)
+            where_positive = positive if isinstance(f, ExistsRow) else not positive
+            return type(f)(
+                f.table, f.row,
+                self.formula(f.body, positive, True),
+                self.formula(f.where, where_positive, True),
+            )
+        if isinstance(f, ForAllInts):
+            if any(isinstance(a, CountWhere) and a.table == self.table
+                   for a in itertools.chain(f.low.atoms(), f.high.atoms())):
+                raise _Unsupported(f"aggregate bound in {f!r}")
+            return ForAllInts(f.var, f.low, f.high, self.formula(f.body, positive, True))
+        raise _Unsupported(f"no transformer for {f!r}")
+
+    def literal(self, f: Formula) -> Formula:
+        """A comparison over ``COUNT`` aggregates of the table: case split."""
+        tops = _top_counts(f.left, f.right) if isinstance(f, Cmp) else _top_counts(f.term)
+        counts = sorted({c for c in tops if c.table == self.table}, key=repr)
+        if not counts or any(
+            c.table != self.table and _touches(c.where, self.table) for c in tops
+        ):
+            raise _Unsupported(f"literal reads the table indirectly: {f!r}")
+        effect = self.effect
+        option_lists = []
+        for count in counts:
+            if _touches(count.where, self.table):
+                raise _Unsupported(f"nested aggregate in {count!r}")
+            if effect.kind == INSERT:
+                hit = _instantiate(count.where, count.row, effect.values)
+                options = [(Add(count, IntConst(1)), hit), (count, Not(hit))]
+            elif effect.kind == UNINSERT:
+                hit = conj(
+                    InTable(self.table, effect.values),
+                    _instantiate(count.where, count.row, effect.values),
+                )
+                options = [(Sub(count, IntConst(1)), hit), (count, Not(hit))]
+            elif effect.kind == DELETE:
+                kept = conj(count.where, Not(_rename_row(effect.where, effect.row, count.row)))
+                options = [(CountWhere(self.table, count.row, kept), TRUE)]
+            elif set(_row_attrs(count.where, count.row)).isdisjoint(_changed(effect)):
+                options = [(count, TRUE)]
+            else:
+                raise _Unsupported(f"UPDATE of a counted attribute in {count!r}")
+            option_lists.append(options)
+        cases = []
+        for combo in itertools.product(*option_lists):
+            mapping = {count: term for count, (term, _cond) in zip(counts, combo)}
+            if isinstance(f, Cmp):
+                swapped = Cmp(f.op, _swap_terms(f.left, mapping), _swap_terms(f.right, mapping))
+            else:
+                swapped = BoolAtom(_swap_terms(f.term, mapping))
+            cases.append(conj(*(cond for _term, cond in combo), swapped))
+        return disj(*cases)
+
+    def quantifier(self, q: Formula, positive: bool, bound: bool) -> Formula:
+        """A row quantifier over the effect's table."""
+        if _touches(q.body, self.table) or _touches(q.where, self.table):
+            raise _Unsupported(f"nested quantifier over {self.table} in {q!r}")
+        effect, row = self.effect, q.row
+        universal = isinstance(q, ForAllRows)
+        matrix = implies(q.where, q.body) if universal else conj(q.where, q.body)
+        if effect.kind == INSERT:
+            instance = _instantiate(matrix, row, effect.values)
+            return conj(q, instance) if universal else disj(q, instance)
+        if effect.kind == UNINSERT:
+            if universal:
+                if positive:
+                    return q
+                return ForAllRows(
+                    self.table, row, q.body, conj(q.where, Not(_row_match(row, effect.values)))
+                )
+            # a witness survives unless it is the removed row
+            return conj(q, Not(_instantiate(matrix, row, effect.values))) if positive else q
+        if effect.kind == HAVOC:
+            if _changed(effect).isdisjoint(_row_attrs(matrix, row)):
+                return q
+            raise _Unsupported(f"unknown values for attributes of {q!r}")
+        delta = _rename_row(effect.where, effect.row, row)
+        if effect.kind == DELETE:
+            if universal:
+                return q if positive else ForAllRows(self.table, row, q.body, conj(q.where, Not(delta)))
+            if not positive:
+                return q
+            self._need_unbound(bound, q)
+            return conj(q, _fresh_row(implies(matrix, Not(delta)), row))
+        # UPDATE
+        if _changed(effect).isdisjoint(_row_attrs(matrix, row)):
+            return q
+        mapping = {
+            atom: _rename_row(term, effect.row, row)
+            for attr, term in effect.values
+            for atom in _row_attrs(matrix, row).get(attr, ())
+        }
+        moved = matrix.substitute(mapping)
+        if universal:
+            if positive:
+                # every row satisfied the matrix before; an updated one must
+                # still satisfy it afterwards
+                self._need_unbound(bound, q)
+                return conj(q, _fresh_row(implies(conj(delta, matrix), moved), row))
+            return ForAllRows(
+                self.table, row, conj(implies(delta, moved), implies(Not(delta), matrix))
+            )
+        if positive:
+            self._need_unbound(bound, q)
+            return conj(q, _fresh_row(implies(conj(delta, matrix), moved), row))
+        return ExistsRow(self.table, row, disj(conj(delta, moved), conj(Not(delta), matrix)))
+
+    @staticmethod
+    def _need_unbound(bound: bool, q: Formula) -> None:
+        if bound:
+            raise _Unsupported(f"fresh-row instance under a binder: {q!r}")
+
+
+def _changed(effect: TableEffect) -> set:
+    """The attributes an UPDATE or HAVOC effect may change."""
+    if effect.kind == HAVOC:
+        return set(effect.values)
+    return {attr for attr, _term in effect.values}
+
+
+# ---------------------------------------------------------------------------
+# entry-state symbols (relational rollback)
+# ---------------------------------------------------------------------------
+
+
+class EntryState:
+    """Fresh symbols for database values in a transaction's entry state.
+
+    Rolling a transaction back restores every location it wrote to the
+    value the location held when the transaction started.  Those values
+    belong to the entry state, not the current one: at READ UNCOMMITTED the
+    other transaction may have written, since then, a location this one
+    only read.  :meth:`lift` restates an entry-state condition over fresh
+    symbols; :meth:`congruence` says two symbols of one array attribute
+    agree when their indices do.
+    """
+
+    def __init__(self) -> None:
+        self.symbols: dict = {}
+
+    def value(self, location: Term) -> Term:
+        """The entry-state symbol of an item or field."""
+        symbol = self.symbols.get(location)
+        if symbol is None:
+            if isinstance(location, Field) and any(
+                isinstance(atom, (Item, Field, CountWhere, RowAttr, BoundVar))
+                for atom in location.index.atoms()
+            ):
+                raise _Unsupported(f"index reads the database: {location!r}")
+            symbol = self.symbols[location] = fresh_logical(location.sort)
+        return symbol
+
+    def lift(self, condition: Formula) -> Formula:
+        """The conjuncts of ``condition`` that hold of the entry state alone.
+
+        Conjuncts over tables or abstract predicates are dropped (the entry
+        table is gone); items and fields become entry symbols.
+        """
+        kept = []
+        for part in (condition.operands if isinstance(condition, And) else (condition,)):
+            if not part.projectable() or any(
+                isinstance(res, TableResource) for res in part.resources()
+            ):
+                continue
+            try:
+                mapping = {
+                    atom: self.value(atom)
+                    for atom in part.atoms()
+                    if isinstance(atom, (Item, Field))
+                }
+            except _Unsupported:
+                continue
+            kept.append(part.substitute(mapping))
+        return conj(*kept)
+
+    def congruence(self) -> Formula:
+        clauses = []
+        fields = [loc for loc in self.symbols if isinstance(loc, Field)]
+        for a, b in itertools.combinations(fields, 2):
+            if a.array == b.array and a.attr == b.attr:
+                clauses.append(
+                    implies(eq(a.index, b.index), eq(self.symbols[a], self.symbols[b]))
+                )
+        return conj(*clauses)
+
+
+def undo_effects(path: SymbolicPath, entry: EntryState) -> list | None:
+    """The path's writes, in program order, as their undo actions.
+
+    A location write undoes to ``(location, entry symbol)``; an INSERT to an
+    UNINSERT of its row, whose values (read by this transaction at some
+    point) become fresh unconstrained symbols; an UPDATE to a havoc of the
+    attributes it set.  None when the path writes a location twice (its
+    undo would restore an intermediate value), deletes rows (the restored
+    rows are unknown), or indexes a write by a database value.
+    """
+    out: list = []
+    written: list = []
+    opaque: dict = {}
+    try:
+        for effect in path.effects:
+            if isinstance(effect, TableEffect):
+                if effect.kind in (UPDATE, HAVOC):
+                    out.append(TableEffect(HAVOC, effect.table, tuple(sorted(_changed(effect)))))
+                    continue
+                if effect.kind != INSERT:
+                    return None
+                for _attr, term in effect.values:
+                    for atom in term.atoms():
+                        if isinstance(atom, (Item, Field)) and atom not in opaque:
+                            opaque[atom] = fresh_logical(atom.sort)
+                values = tuple((attr, term.substitute(opaque)) for attr, term in effect.values)
+                if any(isinstance(atom, (Item, Field)) for _a, t in values for atom in t.atoms()):
+                    return None  # a field indexed by a database value
+                out.append(TableEffect(UNINSERT, effect.table, values))
+                continue
+            target, _value = effect
+            if any(_may_alias(prior, target) is not False for prior in written):
+                return None
+            written.append(target)
+            out.append((target, entry.value(target)))
+    except _Unsupported:
+        return None
+    return out

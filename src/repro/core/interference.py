@@ -9,15 +9,21 @@ through up to three tiers, from cheapest and exact to most general:
    assertion depends on.  Exact, instantaneous, and in realistic
    applications discharges the bulk of the obligations (benchmarked in E1).
 
-2. **Symbolic proof** — for the conventional (scalar/array) fragment the
-   check becomes a validity query: ``P ∧ pre ⇒ P'`` where ``P'`` is the
-   assertion after the write (alias-aware substitution,
-   :mod:`repro.core.effects`).  Counterexamples are genuine interference
-   witnesses at the formula level.
+2. **Symbolic proof** — the check becomes a validity query ``P ∧ pre ⇒
+   P'`` where ``P'`` is the assertion after the write, the whole source
+   or its rollback (alias-aware substitution and table-effect
+   transformers, :mod:`repro.core.effects`).  In the conventional
+   (scalar/array) fragment a counterexample is a genuine interference
+   witness at the formula level.  When the source has relational
+   statements the tier decides only by proof: an INVALID or unknown
+   answer falls through to tier 3, which stays the only source of
+   witnesses for such bodies.
 
-3. **Bounded model checking** — relational statements, quantified
-   assertions, aggregates, buffers and rollback scenarios are checked by
-   *simulating the scenario*: enumerate small initial databases and
+3. **Bounded model checking** — whatever tier 2 leaves open (nested
+   quantifiers over a written table, abstract predicates, ``While`` loops
+   in relational bodies, every interference witness for a relational
+   source) is checked by *simulating the scenario*: enumerate small
+   initial databases and
    arguments (a :class:`repro.core.domains.DomainSpec`), trace the target
    transaction to every control point where the assertion is active — with
    the target's own local bindings — then run the candidate interfering
@@ -42,7 +48,10 @@ from repro.core import effects as fx
 from repro.core.cache import FORMULA_SCOPE, FULL_SCOPE, VerdictCache, fingerprint_many
 from repro.core.domains import DEFAULT_BUDGET, DomainSpec, iter_assignments, split_budget
 from repro.core.parallel import chunked, parallel_map
-from repro.core.formula import FALSE, CountWhere, Formula, TRUE, conj, disj, eq, implies
+from repro.core.formula import (
+    FALSE, And, Cmp, CountWhere, Formula, Implies, Not, Or, TRUE, conj, conjuncts, disj, eq,
+    implies,
+)
 from repro.core.program import (
     ForEach,
     If,
@@ -51,7 +60,7 @@ from repro.core.program import (
     While,
     Write,
 )
-from repro.core.prover import Verdict, is_valid
+from repro.core.prover import Verdict, is_valid, simplify
 from repro.core.resources import overlaps
 from repro.core.sp import annotate_paths, fresh_logical
 from repro.core.state import DbState, _multiset_minus, _row_multiset
@@ -927,13 +936,8 @@ class InterferenceChecker:
         assumption: Formula = TRUE,
     ) -> InterferenceVerdict | None:
         if not isinstance(stmt, Write):
-            return None
-        entry = conj(
-            source.consistency,
-            source.param_pre,
-            *(eq(logical, term) for logical, term in source.snapshot),
-        )
-        paths = annotate_paths(source.body, entry, max_loop_unroll=1)
+            return self._relational_statement_symbolic(assertion, source, stmt, assumption)
+        paths = annotate_paths(source.body, _entry_condition(source), max_loop_unroll=1)
         obligations: list = []
         for path in paths:
             for point in path.points:
@@ -961,12 +965,38 @@ class InterferenceChecker:
             return InterferenceVerdict(False, PROVED, "symbolic")
         return None
 
+    def _relational_statement_symbolic(
+        self, assertion: Formula, source: TransactionType, stmt: Statement,
+        assumption: Formula,
+    ) -> InterferenceVerdict | None:
+        """Tier 2 for one INSERT, DELETE or UPDATE: a proof or nothing.
+
+        The statement's locals stay free.  At READ UNCOMMITTED the values
+        the source computed them from may have been overwritten since, so
+        only the source's entry condition, restated over entry-state
+        symbols, constrains the premise.
+        """
+        effect = fx.statement_effect(stmt)
+        if effect is None:
+            return None
+        afters = [fx.apply_table_effect(part, effect) for part in conjuncts(assertion)]
+        if None in afters:
+            return None
+        entry = fx.EntryState()
+        lifted = entry.lift(_entry_condition(source))
+        premise = conj(assertion, lifted, entry.congruence(), assumption)
+        if all(_proved(premise, after) for after in afters):
+            return InterferenceVerdict(False, PROVED, "symbolic")
+        return None
+
     def _rollback_symbolic(
         self, assertion: Formula, source: TransactionType, assumption: Formula = TRUE
     ) -> InterferenceVerdict | None:
         paths = fx.symbolic_paths(source, unroll=self.unroll)
         if paths is None:
             return None
+        if any(path.relational for path in paths):
+            return self._relational_rollback(assertion, source, paths, assumption)
         for path in paths:
             havoc = {
                 written_target: fresh_logical(getattr(written_target, "var_sort", "int"))
@@ -990,6 +1020,68 @@ class InterferenceChecker:
                 return None
         return InterferenceVerdict(False, PROVED, "rollback-symbolic")
 
+    def _relational_rollback(
+        self, assertion: Formula, source: TransactionType, paths: list,
+        assumption: Formula,
+    ) -> InterferenceVerdict | None:
+        """Rollback of a body with relational statements: a proof or nothing.
+
+        A rollback after the source's ``j``-th write undoes writes ``j``
+        down to ``i``, and the assertion must hold after each step, so each
+        contiguous range of a path's writes is one state to check.  Undone
+        locations take their entry values: fresh symbols constrained by the
+        source's entry condition (current-state atoms would be unsound, see
+        :class:`~repro.core.effects.EntryState`).  An undone INSERT removes
+        its row.
+        """
+        for path in paths:
+            entry = fx.EntryState()
+            undo = fx.undo_effects(path, entry)
+            if undo is None:
+                return None
+            ranges = [undo[i: j + 1] for j in range(len(undo)) for i in range(j + 1)]
+            conclusions = []
+            for part in conjuncts(assertion):
+                states: dict = {}
+                for done in ranges:
+                    # undoing j, then j-1, ..., then i: i's undo is innermost
+                    after = fx.apply_effects(
+                        part,
+                        {step[0]: step[1] for step in done if isinstance(step, tuple)},
+                        [step for step in done if isinstance(step, fx.TableEffect)],
+                    )
+                    if after is None:
+                        return None
+                    states[after] = None
+                conclusions.append(conj(*states))
+            lifted = entry.lift(_entry_condition(source))
+            premise = conj(assertion, lifted, entry.congruence(), assumption)
+            if not all(_proved(premise, conclusion) for conclusion in conclusions):
+                return None
+        return InterferenceVerdict(False, PROVED, "rollback-symbolic")
+
+    def _relational_unit(
+        self, assertion: Formula, paths: list, excuse: Formula, assumption: Formula,
+    ) -> InterferenceVerdict | None:
+        """A body with relational statements as one unit: a proof or nothing.
+
+        Each conjunct of the assertion is carried back separately (their
+        alias case splits would multiply in one query) across the final
+        store and the table effects, last first.
+        """
+        if isinstance(excuse, Or):
+            # one index equality per pair of writes to the same array; each
+            # repeat would double the prover's cubes
+            excuse = disj(*dict.fromkeys(excuse.operands))
+        for path in paths:
+            premise = conj(assertion, path.condition, assumption)
+            tables = [e for e in reversed(path.effects) if isinstance(e, fx.TableEffect)]
+            for part in conjuncts(assertion):
+                after = fx.apply_effects(part, path.store, tables)
+                if after is None or not _proved(premise, disj(excuse, after)):
+                    return None
+        return InterferenceVerdict(False, PROVED, "symbolic")
+
     def _transaction_symbolic(
         self, assertion: Formula, source: TransactionType, excuse: Formula,
         assumption: Formula = TRUE,
@@ -997,6 +1089,8 @@ class InterferenceChecker:
         paths = fx.symbolic_paths(source, unroll=self.unroll)
         if paths is None:
             return None
+        if any(path.relational for path in paths):
+            return self._relational_unit(assertion, paths, excuse, assumption)
         for path in paths:
             after = fx.apply_store(assertion, path.store)
             if after is None:
@@ -1355,6 +1449,60 @@ class InterferenceChecker:
                         )
             return None
         raise ValueError(f"unknown BMC mode {mode!r}")
+
+
+def _proved(premise: Formula, conclusion: Formula) -> bool:
+    """Whether ``premise ⇒ conclusion`` is VALID.
+
+    Comparison literals that are conjuncts of the premise are true in the
+    conclusion, and a literal disjunct of the conclusion may be taken false
+    in its other disjuncts (were it true, the conclusion would hold).  Both
+    rewrites preserve validity and prune the alias and excuse case splits
+    before they multiply into DNF cubes.
+    """
+    known = {}
+    for literal in conjuncts(premise):
+        if isinstance(literal, Cmp):
+            known[literal] = TRUE
+            known[literal.negated()] = FALSE
+    conclusion = simplify(_rewrite_literals(conclusion, known))
+    if isinstance(conclusion, Or):
+        parts = conclusion.operands
+        literals = [part for part in parts if isinstance(part, Cmp)]
+        conclusion = disj(*literals, *(
+            _rewrite_literals(
+                part, {**{l: FALSE for l in literals}, **{l.negated(): TRUE for l in literals}}
+            )
+            for part in parts
+            if not isinstance(part, Cmp)
+        ))
+    return is_valid(implies(premise, conclusion)).verdict == Verdict.VALID
+
+
+def _rewrite_literals(formula: Formula, table: dict) -> Formula:
+    """``formula`` with comparison literals replaced per ``table``, outside quantifiers."""
+    if formula in table:
+        return table[formula]
+    if isinstance(formula, Not):
+        return Not(_rewrite_literals(formula.operand, table))
+    if isinstance(formula, And):
+        return conj(*(_rewrite_literals(op, table) for op in formula.operands))
+    if isinstance(formula, Or):
+        return disj(*(_rewrite_literals(op, table) for op in formula.operands))
+    if isinstance(formula, Implies):
+        return implies(
+            _rewrite_literals(formula.premise, table), _rewrite_literals(formula.conclusion, table)
+        )
+    return formula
+
+
+def _entry_condition(txn: TransactionType) -> Formula:
+    """``I ∧ B`` plus the logical-variable snapshot, at the body's entry."""
+    return conj(
+        txn.consistency,
+        txn.param_pre,
+        *(eq(logical, term) for logical, term in txn.snapshot),
+    )
 
 
 def _event_delta(event: TraceEvent) -> frozenset:

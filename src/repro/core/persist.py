@@ -73,14 +73,19 @@ _LOCK_NAME = "compact.lock"
 def store_salt() -> str:
     """The version salt all loadable segments must carry.
 
-    Combines the fingerprint scheme, the prover semantics and the obligation
-    plan shape: a change to any of them invalidates every persisted verdict
-    (clean miss), because the keys or the meaning of the cached answers may
-    have shifted.
+    Combines the fingerprint scheme, the prover semantics, the tier-2
+    effect semantics and the obligation plan shape: a change to any of them
+    invalidates every persisted verdict (clean miss), because the keys or
+    the meaning of the cached answers may have shifted.  Effects version 2
+    proves relational obligations that version 1 left to sampled BMC.
     """
     from repro.core.conditions import PLAN_VERSION  # lazy: import cycle
+    from repro.core.effects import EFFECTS_VERSION
 
-    return f"fp{FINGERPRINT_VERSION}.prover{PROVER_VERSION}.plan{PLAN_VERSION}"
+    return (
+        f"fp{FINGERPRINT_VERSION}.prover{PROVER_VERSION}"
+        f".effects{EFFECTS_VERSION}.plan{PLAN_VERSION}"
+    )
 
 
 def _strip_witness(witness: Witness | None) -> dict | None:

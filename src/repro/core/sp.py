@@ -15,10 +15,11 @@ puts it.
 Guard entry/exit for If/While conjoins the (local-only) guard, mirroring
 cases (e)–(h) of the paper's Theorem 1 proof.
 
-Relational statements have no general symbolic sp here; the analysis falls
-back to the bounded model checker for them.  The one easy case — the
-assertion's resources are disjoint from the statement's written resources —
-is handled by returning the assertion unchanged.
+Relational statements have no general symbolic sp here (the interference
+check carries assertions across them as table effects instead, see
+:mod:`repro.core.effects`).  The one easy case — the assertion's resources
+are disjoint from the statement's written resources — is handled by
+returning the assertion unchanged.
 """
 
 from __future__ import annotations

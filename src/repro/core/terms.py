@@ -81,7 +81,11 @@ class HashConsMeta(type):
     fast path of ``==``.  Classes with ``_hc_intern = False`` (e.g.
     ``AbstractPred``, whose ``evaluator`` field is excluded from equality,
     so interning would conflate predicates with different evaluators) are
-    never interned but still get the cached hash.
+    never interned but still get the cached hash.  Their parents are
+    interned, but a node is only ever merged with an equal one whose
+    un-interned leaves are the very same objects (:func:`_opaque_leaves`):
+    ``Not(p)`` and ``Not(q)`` for equal ``p``, ``q`` with different
+    evaluators stay two nodes.
     """
 
     def __call__(cls, *args, **kwargs):
@@ -93,10 +97,45 @@ class HashConsMeta(type):
         table = cls.__dict__["_hc_table"]
         interned = table.get(obj)
         if interned is not None:
-            return interned
+            leaves = _opaque_leaves(interned)
+            if not leaves:
+                return interned
+            mine = _opaque_leaves(obj)
+            if all(a is b for a, b in zip(leaves, mine)):
+                return interned
+            # same structure, other leaf objects: intern under their ids
+            # (the stored node keeps its leaves alive, so no id is reused)
+            key = (obj, tuple(map(id, mine)))
+            interned = table.get(key)
+            if interned is not None:
+                return interned
+            if len(table) < _INTERN_CAP:
+                table[key] = obj
+            return obj
         if len(table) < _INTERN_CAP:
             table[obj] = obj
         return obj
+
+
+def _opaque_leaves(node) -> tuple:
+    """The never-interned nodes below ``node``, in field order (cached).
+
+    Empty for every tree without an ``AbstractPred``; interned children
+    carry their own cached tuple, so each node walks only its fields.
+    """
+    cached = node.__dict__.get("_hc_leaves")
+    if cached is None:
+        out: list = []
+        stack = [getattr(node, name) for name in reversed(node.__dataclass_fields__)]
+        while stack:
+            value = stack.pop()
+            if isinstance(value, tuple):
+                stack.extend(reversed(value))
+            elif isinstance(type(value), HashConsMeta):
+                out.extend(_opaque_leaves(value) if value._hc_intern else (value,))
+        cached = tuple(out)
+        object.__setattr__(node, "_hc_leaves", cached)
+    return cached
 
 
 def _prepare_hashcons_class(cls) -> None:

@@ -51,6 +51,20 @@ class TestInterning:
         assert a == b
         assert a is not b
 
+    def test_parents_of_abstract_preds_keep_their_evaluators(self):
+        from repro.core.state import DbState
+
+        yes = Not(AbstractPred("p", evaluator=lambda state, env: True))
+        no = Not(AbstractPred("p", evaluator=lambda state, env: False))
+        assert yes is not no
+        assert yes.evaluate(DbState(), {}) is False
+        assert no.evaluate(DbState(), {}) is True
+
+    def test_parents_of_one_abstract_pred_still_intern(self):
+        pred = AbstractPred("p", evaluator=lambda state, env: True)
+        assert Not(pred) is Not(pred)
+        assert conj(pred, eq(Item("x"), IntConst(1))) is conj(pred, eq(Item("x"), IntConst(1)))
+
     def test_intern_tables_report_sizes(self):
         Item("hashcons-stat-probe")
         stats = hashcons_stats()

@@ -101,10 +101,29 @@ class TestSaltAndVersioning:
         from repro.core.conditions import PLAN_VERSION
         from repro.core.prover import PROVER_VERSION
 
+        from repro.core.effects import EFFECTS_VERSION
+
         salt = store_salt()
         assert FINGERPRINT_VERSION in salt
         assert PROVER_VERSION in salt
         assert PLAN_VERSION in salt
+        assert f"effects{EFFECTS_VERSION}" in salt
+
+    def test_segment_from_before_relational_effects_misses(self, tmp_path):
+        from repro.core.cache import FINGERPRINT_VERSION
+        from repro.core.conditions import PLAN_VERSION
+        from repro.core.prover import PROVER_VERSION
+
+        # the salt segments carried while relational obligations were only
+        # sampled by BMC: their verdicts must not satisfy a lookup now
+        old_salt = f"fp{FINGERPRINT_VERSION}.prover{PROVER_VERSION}.plan{PLAN_VERSION}"
+        assert old_salt != store_salt()
+        PersistentStore(tmp_path, salt=old_salt).flush(_warm_cache())
+        fresh = VerdictCache()
+        reader = PersistentStore(tmp_path)
+        assert reader.load(fresh) == 0
+        assert len(fresh) == 0
+        assert reader.stats["segments_skipped"] == 1
 
     def test_format_bump_skips_segment(self, tmp_path):
         store = PersistentStore(tmp_path)

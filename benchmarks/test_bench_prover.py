@@ -42,7 +42,7 @@ BUDGET = 24
 #: Pre-PR prover cost for this exact workload, recorded once so the bench
 #: does not need to rebuild the old tree.  Measured with
 #: ``time.process_time()`` around ``analyze_application`` on tpcc-lite
-#: (extended ladder + snapshot, budget 24, workers=1) from a git worktree
+#: (extended ladder + snapshot, budget 24, serial) from a git worktree
 #: at the last commit before the prover-core PR, on the same machine class
 #: as the current numbers.
 SEED_REFERENCE = {
@@ -66,7 +66,7 @@ def _run(cache, hash_consing=True, fast_path=True):
     try:
         # the app is built under the flag so baseline terms are not interned
         app = tpcc.make_application()
-        checker = InterferenceChecker(app.spec, budget=BUDGET, workers=1, cache=cache)
+        checker = InterferenceChecker(app.spec, budget=BUDGET, cache=cache)
         start = time.process_time()
         report = analyze_application(
             app, checker, ladder=EXTENDED_LADDER, include_snapshot=True
@@ -130,7 +130,6 @@ def test_bench_prover(sweep):
                 "app": "tpcc-lite",
                 "budget": BUDGET,
                 "ladder": "extended+snapshot",
-                "workers": 1,
                 "timer": "process_time",
             },
             "seed_reference": SEED_REFERENCE,

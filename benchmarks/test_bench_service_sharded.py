@@ -178,7 +178,7 @@ def test_bench_service_sharded(measurements):
                 "budget": BUDGET,
                 "concurrency": list(CONCURRENCY),
                 "fleet_sizes": list(FLEETS),
-                "worker_config": {"workers": 2, "job_workers": 1, "window": 0.0},
+                "worker_config": {"workers": 2, "window": 0.0},
             },
             "fleets": fleets_payload,
             "scaling_ratio_32clients_4v1": round(ratio, 3),

@@ -10,18 +10,17 @@
   MAXDATE, the four-transaction ordering application);
 * :mod:`repro.apps.tpcc` — TPC-C-lite, the paper's stated future work.
 
-:func:`registry` maps short names to application factories.  It is the
-addressing scheme of the process-parallel backend: applications embed
-closures (abstract-predicate evaluators, domain constraints) that cannot
-cross a process boundary, so workers receive a registry name and rebuild
-the application on their side.
+:func:`registry` maps short names to application factories.  Applications
+embed closures (abstract-predicate evaluators, domain constraints) that
+cannot cross a process boundary, so jobs and fleet workers name an
+application and rebuild it from the registry on their side.
 """
 
 from __future__ import annotations
 
 
 def registry() -> dict:
-    """Short name -> zero-argument application factory, for CLI and workers."""
+    """Short name -> zero-argument application factory, for CLI and jobs."""
     from repro.apps import banking, customers, employees, orders, tpcc
 
     return {

@@ -54,7 +54,6 @@ import sys
 
 from repro.core.cache import VerdictCache, shared_cache
 from repro.core.conditions import LEVEL_ORDER
-from repro.core.parallel import resolve_workers
 from repro.core.report import analysis_stats_table, failure_details, level_table
 from repro.errors import ReproError
 
@@ -170,8 +169,6 @@ def cmd_analyze(args) -> int:
     job = run_job(
         spec,
         cache=cache,
-        workers=resolve_workers(args.workers),
-        backend=args.backend,
         cache_dir=args.cache_dir,
         no_persist=args.no_persist or args.no_cache,
         checker_hook=checker_hook,
@@ -220,13 +217,7 @@ def cmd_certify(args) -> int:
         max_schedules=args.max_schedules,
         max_depth=args.max_depth,
     )
-    job = run_job(
-        spec,
-        workers=args.workers,
-        backend=args.backend,
-        cache_dir=args.cache_dir,
-        no_persist=args.no_persist,
-    )
+    job = run_job(spec, cache_dir=args.cache_dir, no_persist=args.no_persist)
     if args.json:
         print(json.dumps({**job.payload, "stats": job.extras["stats"]}, indent=2))
     else:
@@ -296,7 +287,6 @@ def cmd_explore(args) -> int:
             max_schedules=args.max_schedules,
             max_depth=args.max_depth,
             pruning=not args.no_pruning,
-            workers=resolve_workers(args.workers),
         )
         violations = []
         for schedule in result.results:
@@ -522,13 +512,12 @@ def cmd_infer(args) -> int:
             )
             return EXIT_USAGE
         refs = [args.app]
-    workers = resolve_workers(args.workers)
     jobs = []
     for ref in refs:
         spec = JobSpec(
             kind="infer", app=ref, budget=args.budget, seed=args.seed, profile=knobs
         )
-        jobs.append(run_job(spec, workers=workers))
+        jobs.append(run_job(spec))
     exit_code = max(job.exit_code for job in jobs)
     if args.json:
         if len(jobs) == 1:
@@ -649,7 +638,6 @@ def cmd_serve(args) -> int:
         host=args.host,
         port=args.port,
         workers=args.workers if args.workers is not None else 2,
-        job_workers=args.job_workers,
         window=args.window_ms / 1000.0,
         max_pending=args.queue_limit,
         max_body=args.max_body,
@@ -657,7 +645,6 @@ def cmd_serve(args) -> int:
         drain_timeout=args.drain_timeout,
         cache_dir=args.cache_dir,
         no_persist=args.no_persist,
-        backend=args.backend,
         persist_interval=persist_interval,
     )
     if args.fleet:
@@ -857,11 +844,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--ladder", choices=("ansi", "extended"), default="ansi")
     analyze.add_argument("--snapshot", action="store_true", help="include Theorem 5 analysis")
     analyze.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="fan obligations/BMC chunks across N workers"
-        " (default: $REPRO_WORKERS or 1 = serial)",
-    )
-    analyze.add_argument(
         "--no-cache", action="store_true",
         help="disable the verdict cache (every obligation re-checked)",
     )
@@ -879,10 +861,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the per-tier timing and cache hit/miss table",
     )
     analyze.add_argument(
-        "--backend", choices=("thread", "process"), default="thread",
-        help="executor for parallel obligation dispatch (with --workers > 1)",
-    )
-    analyze.add_argument(
         "--json", action="store_true",
         help="emit the machine-readable report (schema: docs/PIPELINE.md)",
     )
@@ -895,14 +873,6 @@ def build_parser() -> argparse.ArgumentParser:
     certify.add_argument("--ladder", choices=("ansi", "extended"), default="ansi")
     certify.add_argument("--seed", type=int, default=0)
     certify.add_argument("--budget", type=int, default=3000)
-    certify.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="fan static obligations and pending race reversals across N threads",
-    )
-    certify.add_argument(
-        "--backend", choices=("thread", "process"), default="thread",
-        help="executor for parallel obligation dispatch (with --workers > 1)",
-    )
     certify.add_argument(
         "--max-schedules", type=int, default=500,
         help="simulator-run budget per scenario exploration",
@@ -947,7 +917,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     infer.add_argument("--budget", type=int, default=3000)
     infer.add_argument("--seed", type=int, default=0)
-    infer.add_argument("--workers", type=int, default=None, metavar="N")
     _add_appgen_flags(infer)
     infer.add_argument("--json", action="store_true")
     infer.set_defaults(func=cmd_infer)
@@ -1031,7 +1000,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable all pruning (full DFS)",
     )
     explore.add_argument("--no-retry", action="store_true", help="no abort-retry loop")
-    explore.add_argument("--workers", type=int, default=None, metavar="N")
     explore.add_argument("--json", action="store_true")
     explore.set_defaults(func=cmd_explore)
 
@@ -1081,10 +1049,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="job worker pool size (default 2)",
     )
     serve.add_argument(
-        "--job-workers", type=int, default=1, metavar="N",
-        help="obligation fan-out width inside each job (default 1)",
-    )
-    serve.add_argument(
         "--window-ms", type=float, default=5.0,
         help="batching window in milliseconds (0 dispatches immediately)",
     )
@@ -1112,10 +1076,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--no-persist", action="store_true",
         help="never load or write the persistent verdict cache",
-    )
-    serve.add_argument(
-        "--backend", choices=("thread", "process"), default="thread",
-        help="executor for per-job obligation dispatch (with --job-workers > 1)",
     )
     serve.add_argument(
         "--fleet", type=int, default=0, metavar="N",

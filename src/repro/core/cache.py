@@ -173,8 +173,9 @@ def _opaque(obj: Any) -> str:
     """Identity-based fallback for objects with no structural reading.
 
     Sound within a process (the intern table keeps the object alive so its
-    id cannot be reused) but deliberately not stable across processes —
-    process workers rebuild their own keys, so fingerprints never travel.
+    id cannot be reused) but deliberately not stable across processes: a
+    persisted entry keyed by it simply never matches a fresh run's keys
+    (see :mod:`repro.core.persist`).
     """
     if len(_intern) < _INTERN_CAP:
         _intern[id(obj)] = (obj, f"@{id(obj):x}")
@@ -240,8 +241,8 @@ class VerdictCache:
     adequate because one analysis run rarely overflows the cap and the cap
     exists only to bound memory on pathological inputs.
 
-    One instance may be shared across threads (the parallel thread backend
-    and the service's worker pool both do): lookups read plain dicts, which
+    One instance may be shared across threads (the service's job pool
+    does): lookups read plain dicts, which
     is safe under the GIL, while every mutation — store, eviction, absorb,
     clear, the flush snapshot — takes a lock so the eviction scan can never
     interleave with a concurrent store and the persisted-flag bookkeeping

@@ -96,15 +96,12 @@ def choose_level(
     transaction_name: str,
     checker: InterferenceChecker | None = None,
     ladder=ANSI_LADDER,
-    policy=None,
 ) -> ChoiceResult:
     """Lowest level of ``ladder`` at which the transaction is correct.
 
     The ladder always ends in SERIALIZABLE, which is unconditionally
-    correct, so the procedure terminates with a valid level.  ``policy``
-    (a :class:`repro.core.parallel.ParallelPolicy`) controls how each
-    level's obligations are dispatched; the checker's verdict cache makes
-    the climb cheap — obligations already discharged while rejecting a
+    correct, so the procedure terminates with a valid level.  The checker's
+    verdict cache makes the climb cheap — obligations already discharged while rejecting a
     lower level are not re-checked at the next one.
     """
     target = app.transaction(transaction_name)
@@ -115,7 +112,7 @@ def choose_level(
     if levels[-1] != SERIALIZABLE:
         levels.append(SERIALIZABLE)
     for level in levels:
-        result = check_transaction_at(app, target, level, checker, policy)
+        result = check_transaction_at(app, target, level, checker)
         attempts.append(result)
         if result.ok:
             return ChoiceResult(transaction_name, level, attempts)
@@ -127,29 +124,26 @@ def analyze_application(
     checker: InterferenceChecker | None = None,
     ladder=ANSI_LADDER,
     include_snapshot: bool = False,
-    policy=None,
 ) -> ApplicationReport:
     """Run the Section 5 procedure for every transaction type."""
     if checker is None:
         checker = InterferenceChecker(app.spec)
     report = ApplicationReport(app.name)
     for txn in app.transactions:
-        report.choices.append(choose_level(app, txn.name, checker, ladder, policy))
+        report.choices.append(choose_level(app, txn.name, checker, ladder))
     if include_snapshot:
         for txn in app.transactions:
             report.snapshot_checks.append(
-                check_transaction_at(app, txn, SNAPSHOT, checker, policy)
+                check_transaction_at(app, txn, SNAPSHOT, checker)
             )
     return report
 
 
-def snapshot_report(
-    app: Application, checker: InterferenceChecker | None = None, policy=None
-) -> list:
+def snapshot_report(app: Application, checker: InterferenceChecker | None = None) -> list:
     """Theorem 5 verdicts for every transaction type of the application."""
     if checker is None:
         checker = InterferenceChecker(app.spec)
     return [
-        check_transaction_at(app, txn, SNAPSHOT, checker, policy)
+        check_transaction_at(app, txn, SNAPSHOT, checker)
         for txn in app.transactions
     ]

@@ -486,64 +486,17 @@ def discharge_one(checker: InterferenceChecker, spec: ObligationSpec) -> Interfe
     raise AnalysisError(f"unknown obligation check {spec.check!r}")
 
 
-def discharge(
-    app: Application,
-    target: TransactionType,
-    level: str,
-    checker: InterferenceChecker,
-    specs: list,
-    policy: "ParallelPolicy | None" = None,
-) -> list:
-    """Discharge a plan into :class:`Obligation` records, in plan order.
-
-    With a serial policy this is exactly the historical loop.  The thread
-    backend fans independent specs across a pool but reports results in plan
-    order; the process backend ships ``(app name, target, level, indices)``
-    references and re-derives the plan on the worker side.  With
-    ``early_cancel`` the returned list stops after the first failed
-    obligation (later specs may not have run at all).
-    """
-    from repro.core.parallel import (
-        PROCESS_BACKEND,
-        ParallelPolicy,
-        parallel_map,
-        process_discharge,
-    )
-
-    if policy is None:
-        policy = ParallelPolicy(workers=checker.workers)
-    live = [index for index, spec in enumerate(specs) if spec.excused is None]
-    stopped = None
-    if policy.workers > 1 and policy.backend == PROCESS_BACKEND and policy.app_ref:
-        verdicts = process_discharge(
-            policy.app_ref, target.name, level, live,
-            checker.config_dict(), policy.workers,
+def discharge(checker: InterferenceChecker, specs: list) -> list:
+    """Discharge a plan into :class:`Obligation` records, in plan order."""
+    return [
+        Obligation(
+            spec.target.name, spec.assertion, spec.source.name, spec.mode,
+            spec.statement,
+            discharge_one(checker, spec) if spec.excused is None else None,
+            spec.excused,
         )
-    else:
-        stop = None
-        if policy.early_cancel:
-            stop = lambda verdict: verdict is not None and verdict.interferes
-        results, stopped = parallel_map(
-            lambda index: discharge_one(checker, specs[index]),
-            live, policy.workers, stop_on=stop,
-        )
-        verdicts = dict(zip(live, results))
-        if stopped is not None:
-            stopped = live[stopped]
-    obligations: list[Obligation] = []
-    for index, spec in enumerate(specs):
-        verdict = verdicts.get(index)
-        if spec.excused is None and verdict is None:
-            continue  # cancelled by early stop (or skipped by a worker)
-        obligations.append(
-            Obligation(
-                spec.target.name, spec.assertion, spec.source.name,
-                spec.mode, spec.statement, verdict, spec.excused,
-            )
-        )
-        if stopped is not None and index >= stopped:
-            break
-    return obligations
+        for spec in specs
+    ]
 
 
 def plan_read_uncommitted(app: Application, target: TransactionType) -> list:
@@ -694,8 +647,7 @@ _PLANS = {}  # populated after the level check functions below
 def plan_level(app: Application, target: TransactionType, level: str) -> list:
     """The obligation plan one level's theorem demands for one target.
 
-    Deterministic: process workers re-derive it and address entries by
-    index.  SERIALIZABLE (and conventional REPEATABLE READ) plans are empty.
+    SERIALIZABLE (and conventional REPEATABLE READ) plans are empty.
     """
     if level not in _PLANS:
         raise AnalysisError(f"unknown isolation level {level!r}")
@@ -709,29 +661,26 @@ def plan_level(app: Application, target: TransactionType, level: str) -> list:
 
 def check_read_uncommitted(
     app: Application, target: TransactionType, checker: InterferenceChecker,
-    policy=None,
 ) -> LevelCheckResult:
     """Theorem 1."""
     specs = plan_read_uncommitted(app, target)
-    obligations = discharge(app, target, READ_UNCOMMITTED, checker, specs, policy)
+    obligations = discharge(checker, specs)
     ok = all(ob.ok for ob in obligations)
     return LevelCheckResult(target.name, READ_UNCOMMITTED, ok, obligations)
 
 
 def check_read_committed(
     app: Application, target: TransactionType, checker: InterferenceChecker,
-    policy=None,
 ) -> LevelCheckResult:
     """Theorem 2."""
     specs = plan_read_committed(app, target)
-    obligations = discharge(app, target, READ_COMMITTED, checker, specs, policy)
+    obligations = discharge(checker, specs)
     ok = all(ob.ok for ob in obligations)
     return LevelCheckResult(target.name, READ_COMMITTED, ok, obligations)
 
 
 def check_read_committed_fcw(
     app: Application, target: TransactionType, checker: InterferenceChecker,
-    policy=None,
 ) -> LevelCheckResult:
     """Theorem 3.
 
@@ -743,7 +692,7 @@ def check_read_committed_fcw(
     excused exactly as in Theorem 5's condition 1.
     """
     specs, excused_count = _plan_fcw(app, target)
-    obligations = discharge(app, target, READ_COMMITTED_FCW, checker, specs, policy)
+    obligations = discharge(checker, specs)
     ok = all(ob.ok for ob in obligations)
     result = LevelCheckResult(target.name, READ_COMMITTED_FCW, ok, obligations)
     result.note = f"{excused_count} read(s) protected by first-committer-wins"
@@ -752,7 +701,6 @@ def check_read_committed_fcw(
 
 def check_repeatable_read(
     app: Application, target: TransactionType, checker: InterferenceChecker,
-    policy=None,
 ) -> LevelCheckResult:
     """Theorem 4 (conventional model) / Theorem 6 (relational model)."""
     if not app.is_relational:
@@ -764,25 +712,23 @@ def check_repeatable_read(
             note="conventional model: REPEATABLE READ is serializable (Thm 4)",
         )
     specs = plan_repeatable_read(app, target)
-    obligations = discharge(app, target, REPEATABLE_READ, checker, specs, policy)
+    obligations = discharge(checker, specs)
     ok = all(ob.ok for ob in obligations)
     return LevelCheckResult(target.name, REPEATABLE_READ, ok, obligations)
 
 
 def check_snapshot(
     app: Application, target: TransactionType, checker: InterferenceChecker,
-    policy=None,
 ) -> LevelCheckResult:
     """Theorem 5: K pairwise checks for this target (K² over the application)."""
     specs = plan_snapshot(app, target)
-    obligations = discharge(app, target, SNAPSHOT, checker, specs, policy)
+    obligations = discharge(checker, specs)
     ok = all(ob.ok for ob in obligations)
     return LevelCheckResult(target.name, SNAPSHOT, ok, obligations)
 
 
 def check_serializable(
     app: Application, target: TransactionType, checker: InterferenceChecker,
-    policy=None,
 ) -> LevelCheckResult:
     return LevelCheckResult(
         target.name,
@@ -819,14 +765,13 @@ def check_transaction_at(
     target: TransactionType,
     level: str,
     checker: InterferenceChecker | None = None,
-    policy=None,
 ) -> LevelCheckResult:
     """Check one transaction type of an application at one isolation level."""
     if level not in _CHECKS:
         raise AnalysisError(f"unknown isolation level {level!r}")
     if checker is None:
         checker = InterferenceChecker(app.spec)
-    return _CHECKS[level](app, target, checker, policy)
+    return _CHECKS[level](app, target, checker)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from repro.core.formula import Formula
 from repro.core.state import DbState
@@ -255,17 +255,3 @@ def split_budget(total: int, parts: int) -> int:
     if parts <= 0:
         return total
     return max(1, int(total ** (1.0 / parts)))
-
-
-def partition_assignments(space: "SearchSpace | Iterable", chunks: int) -> list:
-    """Materialise a search space and split it into contiguous chunks.
-
-    The partition is only meaningful for exhaustive spaces (a sampled
-    space's draws depend on shared rng state, so splitting it would change
-    which cases are examined); callers gate on
-    :attr:`SearchSpace.exhaustive` before fanning chunks out — see
-    :meth:`repro.core.interference.InterferenceChecker._bmc_chunkable`.
-    """
-    from repro.core.parallel import chunked
-
-    return chunked(list(space), chunks)

@@ -36,8 +36,9 @@ exact returns a formula that implies the true post-value where it occurs
 positively (and one implied by it where negatively), so a VALID verdict on
 the transformed goal is sound.  SELECTs bind opaque locals, and a loop over
 a row buffer havocs the attributes its UPDATEs set.  ``While`` loops are
-unrolled up to a bound; relational bodies with a ``While``, and bodies with
-irreducible aliasing, return ``None`` and the caller falls back to bounded
+unrolled up to a bound; a loop whose guard may still hold after the last
+unrolled iteration, relational bodies with a ``While``, and bodies with
+irreducible aliasing return ``None`` and the caller falls back to bounded
 model checking.
 """
 
@@ -93,8 +94,9 @@ from repro.core.terms import Add, Field, IntConst, Item, Local, Mul, Neg, Sub, T
 
 #: Version of the tier-2 effect semantics; part of the persistent
 #: verdict-store salt (:func:`repro.core.persist.store_salt`), so verdicts
-#: decided before relational effects existed are never loaded.
-EFFECTS_VERSION = "2"
+#: decided before relational effects existed, or while unexhausted loops
+#: were cut at the unroll bound, are never loaded.
+EFFECTS_VERSION = "3"
 
 #: Default loop-unroll bound for symbolic execution.
 DEFAULT_UNROLL = 2
@@ -309,17 +311,26 @@ def symbolic_paths(
                 run(tuple(branch) + rest, path.fork(condition=branch_cond))
             return
         if isinstance(stmt, While):
-            # unroll: 0..unroll iterations, each prefixed by the guard
+            # unroll: 0..unroll iterations, each prefixed by the guard; after
+            # the last one the guard must be unsatisfiable, or the paths
+            # that need more iterations would be silently dropped
             for count in range(unroll + 1):
                 unrolled: tuple = ()
                 for _ in range(count):
                     unrolled += (_Guard(stmt.cond),) + tuple(stmt.body)
+                if count == unroll:
+                    unrolled += (_Guard(stmt.cond, exhausted=True),)
                 unrolled += (_Guard(Not(stmt.cond)),)
                 run(unrolled + rest, path.fork())
             return
         if isinstance(stmt, _Guard):
             guard = simplify(stmt.cond.substitute(path.env))
             cond = simplify(conj(path.condition, guard))
+            if stmt.exhausted:
+                if not isinstance(cond, Bottom):
+                    raise _Unsupported(f"loop may run past {unroll} iterations: {guard!r}")
+                run(rest, path)
+                return
             if isinstance(cond, Bottom):
                 return
             run(rest, path.fork(condition=cond))
@@ -380,9 +391,14 @@ def statement_effect(stmt: Statement) -> TableEffect | None:
 
 @dataclass(frozen=True)
 class _Guard(Statement):
-    """Internal pseudo-statement: assume a condition along a path."""
+    """Internal pseudo-statement: assume a condition along a path.
+
+    With ``exhausted`` it instead asserts that the condition (a loop guard
+    after the last unrolled iteration) cannot hold on the path.
+    """
 
     cond: Formula
+    exhausted: bool = False
 
     def execute(self, state, env) -> None:  # pragma: no cover - analysis only
         raise NotImplementedError

@@ -1369,21 +1369,17 @@ def agreement(
     budget: int = 3000,
     seed: int = 0,
     ladder=None,
-    workers: int | None = None,
 ) -> dict:
     """Chooser level assignments of both annotation sets, compared."""
     from repro.core.chooser import analyze_application
     from repro.core.conditions import ANSI_LADDER
     from repro.core.interference import InterferenceChecker
-    from repro.core.parallel import ParallelPolicy, resolve_workers
 
     ladder = ladder or ANSI_LADDER
-    workers = resolve_workers(workers)
     levels: dict = {}
     for tag, app in (("declared", declared), ("inferred", inferred)):
-        checker = InterferenceChecker(app.spec, budget=budget, seed=seed, workers=workers)
-        policy = ParallelPolicy(workers=workers, backend="thread", app_ref=f"{app.name}:{tag}")
-        report = analyze_application(app, checker, ladder=ladder, policy=policy)
+        checker = InterferenceChecker(app.spec, budget=budget, seed=seed)
+        report = analyze_application(app, checker, ladder=ladder)
         levels[tag] = report.levels()
     matches = {
         name: levels["declared"][name] == levels["inferred"][name]

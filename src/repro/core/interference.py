@@ -47,7 +47,6 @@ from typing import Callable, Sequence
 from repro.core import effects as fx
 from repro.core.cache import FORMULA_SCOPE, FULL_SCOPE, VerdictCache, fingerprint_many
 from repro.core.domains import DEFAULT_BUDGET, DomainSpec, iter_assignments, split_budget
-from repro.core.parallel import chunked, parallel_map
 from repro.core.formula import (
     FALSE, And, Cmp, CountWhere, Formula, Implies, Not, Or, TRUE, conj, conjuncts, disj, eq,
     implies,
@@ -564,7 +563,6 @@ class InterferenceChecker:
         use_disjoint: bool = True,
         use_symbolic: bool = True,
         cache: VerdictCache | None = None,
-        workers: int = 1,
     ) -> None:
         self.spec = spec
         self.budget = budget
@@ -580,8 +578,6 @@ class InterferenceChecker:
         #: tier accounting into an unrelated run; pass
         #: :func:`repro.core.cache.shared_cache` to share process-wide
         self.cache = cache if cache is not None else VerdictCache()
-        #: fan-out width for exhaustive BMC state chunks (1 = serial)
-        self.workers = max(1, workers)
         self.stats = {
             "disjoint": 0,
             "symbolic": 0,
@@ -610,16 +606,6 @@ class InterferenceChecker:
         self._unit_memo = IdentityMemo(200_000)
         self._overlap_memo = IdentityMemo(100_000)
         self._stmt_memo = IdentityMemo(200_000)
-
-    def config_dict(self) -> dict:
-        """Picklable constructor kwargs for rebuilding this checker elsewhere."""
-        return {
-            "budget": self.budget,
-            "seed": self.seed,
-            "unroll": self.unroll,
-            "use_disjoint": self.use_disjoint,
-            "use_symbolic": self.use_symbolic,
-        }
 
     # -- cache keys ----------------------------------------------------------
 
@@ -1150,46 +1136,16 @@ class InterferenceChecker:
             )
         rng = random.Random(self.seed)
         states, exhaustive = self._cached_states(rng)
-        if self._bmc_chunkable(target, source, exhaustive, len(states)):
-            chunks = chunked(states, self.workers)
-            results, stopped = parallel_map(
-                lambda chunk: self._bmc_scan(
-                    chunk, random.Random(self.seed), True, target, assertion,
-                    source, mode, stmt, fcw_excuse, assumption, dirty_reads,
-                    fcw_targets,
-                ),
-                chunks,
-                self.workers,
-                stop_on=lambda scanned: scanned[0] is not None,
-            )
-            cases = sum(scanned[1] for scanned in results if scanned is not None)
-            witness = results[stopped][0] if stopped is not None else None
-        else:
-            witness, cases, exhaustive = self._bmc_scan(
-                states, rng, exhaustive, target, assertion, source, mode, stmt,
-                fcw_excuse, assumption, dirty_reads, fcw_targets,
-            )
+        witness, cases, exhaustive = self._bmc_scan(
+            states, rng, exhaustive, target, assertion, source, mode, stmt,
+            fcw_excuse, assumption, dirty_reads, fcw_targets,
+        )
         if witness is not None:
             return InterferenceVerdict(True, PROVED, f"bmc-{mode}", witness=witness)
         confidence = BOUNDED if exhaustive else SAMPLED
         return InterferenceVerdict(
             False, confidence, f"bmc-{mode}", note=f"{cases} scenario cases examined"
         )
-
-    def _bmc_chunkable(
-        self, target: TransactionType, source: TransactionType,
-        states_exhaustive: bool, n_states: int,
-    ) -> bool:
-        """Whether state chunks can be scanned concurrently without changing
-        the verdict: every search space must be exhaustive — sampled spaces
-        draw from one shared rng sequence, so partitioning them would change
-        which scenarios get examined."""
-        if self.workers <= 1 or n_states <= 1 or not states_exhaustive:
-            return False
-        probe = random.Random(self.seed)
-        target_space = iter_assignments(list(target.params), self.spec, 512, probe)
-        source_space = iter_assignments(list(source.params), self.spec, 512, probe)
-        return target_space.exhaustive and source_space.exhaustive
 
     def _bmc_scan(
         self,
@@ -1206,7 +1162,7 @@ class InterferenceChecker:
         dirty_reads: bool,
         fcw_targets: list | None,
     ) -> tuple:
-        """Scan a subset of initial states; returns (witness, cases, exhaustive)."""
+        """Scan the initial states; returns (witness, cases, exhaustive)."""
         counter = {"cases": 0}
         target_params = tuple(target.params)
         source_params = tuple(source.params)

@@ -18,9 +18,9 @@ The differential check drives the whole pipeline on one generated seed:
    again with every transaction weakened one rung down the ANSI ladder
    to decide ``TIGHT`` vs ``LOOSE``.
 
-Every exploration runs single-threaded (``workers=1``): corpus rows must
-be byte-identical across runs, and parallelism lives one layer up — the
-runner fans out across *seeds*, never inside a case.
+Corpus rows must be byte-identical across runs, and the explorer is
+deterministic; parallelism lives one layer up — the runner fans out
+across *seeds*, never inside a case.
 """
 
 from __future__ import annotations
@@ -89,8 +89,7 @@ def explore_probe(initial, instances, levels, invariant, *, max_schedules):
     """Explore one probe at ``levels``; return ``(schedules, violations)``.
 
     ``violations`` holds ``(summary, history, committed)`` triples for
-    every semantically incorrect completed schedule, in exploration order
-    (deterministic at ``workers=1``).
+    every semantically incorrect completed schedule, in exploration order.
     """
     from repro.sched.explore import explore
     from repro.sched.histories import history_string
@@ -105,7 +104,6 @@ def explore_probe(initial, instances, levels, invariant, *, max_schedules):
         initial.copy(),
         specs,
         max_schedules=max_schedules,
-        workers=1,
         keep_results=True,
     )
     violations = []

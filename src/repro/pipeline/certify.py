@@ -347,7 +347,6 @@ def run_probe(scenario: Scenario, type_levels: dict, context: RunContext) -> Dyn
         max_schedules=context.max_schedules,
         max_depth=context.max_depth,
         pruning=True,
-        workers=context.workers,
         observer_factory=AssertionMonitor,
     )
     probe.exploration = result.to_dict()
@@ -409,11 +408,7 @@ def certify(
     checker = context.checker(app.spec)
     try:
         static = analyze_application(
-            app,
-            checker,
-            ladder=rungs,
-            include_snapshot=include_snapshot,
-            policy=context.policy(app.name),
+            app, checker, ladder=rungs, include_snapshot=include_snapshot
         )
     finally:
         if store is not None:

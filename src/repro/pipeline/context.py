@@ -1,10 +1,9 @@
 """The shared run context threaded through the certification pipeline.
 
 One :class:`RunContext` carries the knobs both halves of the pipeline
-need — the static chooser (verdict cache, obligation-dispatch policy,
-BMC budget/seed) and the dynamic explorer (workers, run bounds) — so a
-``certify`` call configures everything once and the stats of both layers
-land in one sink.
+need — the static chooser (verdict cache, BMC budget/seed) and the
+dynamic explorer (run bounds) — so a ``certify`` call configures
+everything once and the stats of both layers land in one sink.
 """
 
 from __future__ import annotations
@@ -13,16 +12,13 @@ from dataclasses import dataclass, field
 
 from repro.core.cache import VerdictCache, shared_cache
 from repro.core.interference import InterferenceChecker
-from repro.core.parallel import ParallelPolicy, resolve_workers
 
 
 @dataclass
 class RunContext:
-    """Seeds, workers, cache and stats shared across pipeline stages."""
+    """Seeds, bounds, cache and stats shared across pipeline stages."""
 
     seed: int = 0
-    workers: int | None = None  # None -> $REPRO_WORKERS or 1
-    backend: str = "thread"
     budget: int = 3000  # BMC sample budget per obligation
     max_schedules: int | None = 500  # exploration run bound per scenario
     max_depth: int | None = None  # exploration decision bound per run
@@ -32,7 +28,6 @@ class RunContext:
     stats: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.workers = resolve_workers(self.workers)
         if self.cache is None:
             self.cache = shared_cache()
 
@@ -44,17 +39,7 @@ class RunContext:
 
     def checker(self, spec) -> InterferenceChecker:
         """A fresh interference checker wired to this context."""
-        return InterferenceChecker(
-            spec,
-            budget=self.budget,
-            seed=self.seed,
-            cache=self.cache,
-            workers=self.workers,
-        )
-
-    def policy(self, app_ref: str | None = None) -> ParallelPolicy:
-        """Obligation-dispatch policy for the static stage."""
-        return ParallelPolicy(workers=self.workers, backend=self.backend, app_ref=app_ref)
+        return InterferenceChecker(spec, budget=self.budget, seed=self.seed, cache=self.cache)
 
     def record(self, stage: str, **payload) -> None:
         """Merge one stage's statistics into the shared sink."""

@@ -3,13 +3,13 @@
 A :class:`JobSpec` is the *semantic* description of one unit of analysis
 work: the kind (``analyze`` / ``certify`` / ``lint``), the application, and
 every knob that can change the produced report (budget, seed, ladder, …).
-Runtime knobs that cannot change the result — worker counts, executor
-backend, cache instances, persistence directories — are deliberately *not*
-part of the spec: they are passed to :func:`run_job` separately.  This split
-is what makes the spec's :meth:`~JobSpec.fingerprint` a sound deduplication
-key for the service batcher (two requests with equal fingerprints provably
-produce equal payloads) and what makes the HTTP results byte-identical to
-the batch CLI: both fronts call :func:`run_job` and serialise the same
+Runtime knobs that cannot change the result — cache instances and
+persistence directories — are deliberately *not* part of the spec: they
+are passed to :func:`run_job` separately.  This split is what makes the
+spec's :meth:`~JobSpec.fingerprint` a sound deduplication key for the
+service batcher (two requests with equal fingerprints provably produce
+equal payloads) and what makes the HTTP results byte-identical to the
+batch CLI: both fronts call :func:`run_job` and serialise the same
 ``payload`` dict.
 
 ``JobResult.payload`` is the deterministic report; ``JobResult.extras``
@@ -176,8 +176,6 @@ def run_job(
     spec: JobSpec,
     *,
     cache=None,
-    workers: int | None = None,
-    backend: str = "thread",
     cache_dir: str | None = None,
     no_persist: bool = False,
     checker_hook=None,
@@ -194,23 +192,22 @@ def run_job(
     spec.validate()
     if spec.kind == "analyze":
         return _run_analyze_job(
-            spec, cache=cache, workers=workers, backend=backend,
-            cache_dir=cache_dir, no_persist=no_persist, checker_hook=checker_hook,
+            spec, cache=cache, cache_dir=cache_dir, no_persist=no_persist,
+            checker_hook=checker_hook,
         )
     if spec.kind == "certify":
         return _run_certify_job(
-            spec, cache=cache, workers=workers, backend=backend,
-            cache_dir=cache_dir, no_persist=no_persist,
+            spec, cache=cache, cache_dir=cache_dir, no_persist=no_persist,
         )
     if spec.kind == "infer":
-        return _run_infer_job(spec, workers=workers)
+        return _run_infer_job(spec)
     if spec.kind == "fuzz":
         return _run_fuzz_job(spec)
     return _run_lint_job(spec)
 
 
 def _run_analyze_job(
-    spec: JobSpec, *, cache, workers, backend, cache_dir, no_persist, checker_hook=None
+    spec: JobSpec, *, cache, cache_dir, no_persist, checker_hook=None
 ) -> JobResult:
     from repro.apps import registry
     from repro.core.cache import shared_cache
@@ -221,26 +218,21 @@ def _run_analyze_job(
         check_transaction_at,
     )
     from repro.core.interference import InterferenceChecker
-    from repro.core.parallel import ParallelPolicy, resolve_workers
     from repro.core.persist import open_store
 
     app = registry()[spec.app]()
-    workers = resolve_workers(workers)
     if cache is None:
         cache = shared_cache()
     store = open_store(cache_dir, no_persist=no_persist)
     if store is not None:
         store.load(cache)
-    checker = InterferenceChecker(
-        app.spec, budget=spec.budget, seed=spec.seed, cache=cache, workers=workers
-    )
+    checker = InterferenceChecker(app.spec, budget=spec.budget, seed=spec.seed, cache=cache)
     if checker_hook is not None:
         checker_hook(checker)
-    policy = ParallelPolicy(workers=workers, backend=backend, app_ref=spec.app)
     try:
         if spec.transaction is not None:
             result = check_transaction_at(
-                app, app.transaction(spec.transaction), spec.level, checker, policy
+                app, app.transaction(spec.transaction), spec.level, checker
             )
             extras = {"tiers": dict(checker.stats), "cache": cache.stats.snapshot()}
             return JobResult(
@@ -253,7 +245,7 @@ def _run_analyze_job(
             )
         ladder = EXTENDED_LADDER if spec.ladder == "extended" else ANSI_LADDER
         report = analyze_application(
-            app, checker, ladder=ladder, include_snapshot=spec.snapshot, policy=policy
+            app, checker, ladder=ladder, include_snapshot=spec.snapshot
         )
         extras = {"tiers": dict(checker.stats), "cache": cache.stats.snapshot()}
         if store is not None:
@@ -267,16 +259,12 @@ def _run_analyze_job(
             store.flush(cache)
 
 
-def _run_certify_job(
-    spec: JobSpec, *, cache, workers, backend, cache_dir, no_persist
-) -> JobResult:
+def _run_certify_job(spec: JobSpec, *, cache, cache_dir, no_persist) -> JobResult:
     from repro.pipeline.certify import certify
     from repro.pipeline.context import RunContext
 
     context = RunContext(
         seed=spec.seed,
-        workers=workers,
-        backend=backend,
         budget=spec.budget,
         max_schedules=spec.max_schedules,
         max_depth=spec.max_depth,
@@ -309,12 +297,11 @@ def _resolve_infer_app(ref: str, knobs: str | None = None):
     return registry()[ref]()
 
 
-def _run_infer_job(spec: JobSpec, *, workers) -> JobResult:
+def _run_infer_job(spec: JobSpec) -> JobResult:
     from repro.core.chooser import analyze_application
     from repro.core.formula import TRUE
     from repro.core.infer import agreement, infer_application
     from repro.core.interference import InterferenceChecker
-    from repro.core.parallel import resolve_workers
 
     app = _resolve_infer_app(spec.app, knobs=spec.profile)
     inferred, report = infer_application(app, seed=spec.seed)
@@ -330,9 +317,7 @@ def _run_infer_job(spec: JobSpec, *, workers) -> JobResult:
     )
     exit_code = 0
     if declared:
-        compared = agreement(
-            app, inferred, budget=spec.budget, seed=spec.seed, workers=workers
-        )
+        compared = agreement(app, inferred, budget=spec.budget, seed=spec.seed)
         payload["declared_levels"] = compared["declared"]
         payload["matches"] = compared["matches"]
         payload["agreement"] = compared["agreement"]
@@ -348,10 +333,7 @@ def _run_infer_job(spec: JobSpec, *, workers) -> JobResult:
         ]
         exit_code = 0 if compared["agreement"] else 1
     else:
-        checker = InterferenceChecker(
-            inferred.spec, budget=spec.budget, seed=spec.seed,
-            workers=resolve_workers(workers),
-        )
+        checker = InterferenceChecker(inferred.spec, budget=spec.budget, seed=spec.seed)
         payload["levels"] = analyze_application(inferred, checker).levels()
         payload["disagreements"] = []  # nothing declared to disagree with
     return JobResult(

@@ -11,9 +11,9 @@ be).  Two modes:
   enumeration.  After each run the analyzer derives level-aware access
   sets from the engine history, finds the immediate races, and enqueues —
   per race — one member of the source set at the decision depth of the
-  earlier step.  A shared LIFO frontier of pending reversals replaces the
-  per-branch recursion; parallel workers steal from it.  Optimal DPOR for
-  isolation levels needs no state caching, so there is none.
+  earlier step.  A LIFO frontier of pending reversals replaces the
+  per-branch recursion.  Optimal DPOR for isolation levels needs no state
+  caching, so there is none.
 
 * ``pruning=False`` — a plain sequential DFS over every enabled sibling,
   the ground truth the reduction is differentially tested against.
@@ -27,7 +27,6 @@ level-aware access sets of :meth:`repro.sched.dpor.RaceAnalyzer.online_signature
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -38,21 +37,19 @@ from repro.sched.simulator import InstanceSpec, Simulator
 
 
 class _Budget:
-    """Shared run budget; ``take()`` is False once exhausted."""
+    """Run budget; ``take()`` is False once exhausted."""
 
     def __init__(self, limit: int | None) -> None:
         self.limit = limit
         self.used = 0
         self.exhausted = False
-        self._lock = threading.Lock()
 
     def take(self) -> bool:
-        with self._lock:
-            if self.limit is not None and self.used >= self.limit:
-                self.exhausted = True
-                return False
-            self.used += 1
-            return True
+        if self.limit is not None and self.used >= self.limit:
+            self.exhausted = True
+            return False
+        self.used += 1
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +122,6 @@ class Explorer:
         max_schedules: int | None = None,
         max_depth: int | None = None,
         pruning: bool = True,
-        workers: int = 1,
         observer_factory: Callable | None = None,
         on_schedule: Callable | None = None,
         keep_results: bool = True,
@@ -138,17 +134,14 @@ class Explorer:
         self.max_steps = max_steps
         self.max_depth = max_depth
         self.pruning = pruning
-        self.workers = max(1, workers)
         self.observer_factory = observer_factory
         self.on_schedule = on_schedule
         self.keep_results = keep_results
         self.budget = _Budget(max_schedules)
         self.result = ExplorationResult(mode="optimal" if pruning else "none")
-        self._lock = threading.Lock()
         # DPOR state: the node registry and the reversal frontier
         self._nodes: dict = {}
         self._frontier: list = []
-        self._registry_lock = threading.Lock()
         self._analyzer = RaceAnalyzer(self.specs)
         self._stop = False
 
@@ -181,16 +174,15 @@ class Explorer:
         # let consumers (e.g. the certification pipeline) read per-run
         # observer state — monitors are born and die with their run
         schedule_result.observers = observers or []
-        with self._lock:
-            self.result.runs += 1
-            if policy.stop_reason is None:
-                self.result.schedules += 1
-                if self.keep_results:
-                    self.result.results.append(schedule_result)
-            elif policy.stop_reason == "sleep":
-                self.result.pruned_sleep += 1
-            elif policy.stop_reason == "depth":
-                self.result.truncated_depth += 1
+        self.result.runs += 1
+        if policy.stop_reason is None:
+            self.result.schedules += 1
+            if self.keep_results:
+                self.result.results.append(schedule_result)
+        elif policy.stop_reason == "sleep":
+            self.result.pruned_sleep += 1
+        elif policy.stop_reason == "depth":
+            self.result.truncated_depth += 1
         if policy.stop_reason is None and self.on_schedule is not None:
             self.on_schedule(schedule_result)
         return schedule_result
@@ -231,16 +223,15 @@ class Explorer:
             entry_sleep: dict = {}
         else:
             key, candidate = item
-            with self._registry_lock:
-                node = self._nodes[key]
-                node.queued.discard(candidate)
-                if candidate in node.scheduled or candidate in node.sleep:
-                    return  # covered since it was enqueued
-                node.scheduled.add(candidate)
-                # descendants start with the node's entry sleep plus the
-                # signatures of the sibling branches explored before them
-                entry_sleep = dict(node.sleep)
-                entry_sleep.update(node.signatures)
+            node = self._nodes[key]
+            node.queued.discard(candidate)
+            if candidate in node.scheduled or candidate in node.sleep:
+                return  # covered since it was enqueued
+            node.scheduled.add(candidate)
+            # descendants start with the node's entry sleep plus the
+            # signatures of the sibling branches explored before them
+            entry_sleep = dict(node.sleep)
+            entry_sleep.update(node.signatures)
             prefix = list(key) + [candidate]
         if not self.budget.take():
             self._stop = True
@@ -253,109 +244,61 @@ class Explorer:
         """Register the run's nodes and schedule its race reversals."""
         races = self._analyzer.analyze(policy.steps)
         decisions = list(policy.prefix) + [frame.choice for frame in policy.frames]
-        new_items: list = []
-        reversals = 0
-        with self._registry_lock:
-            if item is not _ROOT:
-                key, candidate = item
-                parent = self._nodes.get(key)
-                if parent is not None:
-                    signature = policy.candidate_signature
-                    parent.signatures[candidate] = (
-                        DEPENDENT if signature is None else signature
-                    )
-            offset = len(policy.prefix)
-            for position, frame in enumerate(policy.frames):
-                node_key = tuple(decisions[: offset + position])
-                node = self._nodes.get(node_key)
-                if node is None:
-                    node = _Node(frame.runnable, frame.sleep, frame.choice)
-                    self._nodes[node_key] = node
-                else:
-                    node.scheduled.add(frame.choice)
-                if frame.tried:
-                    node.signatures.setdefault(frame.choice, frame.tried[0][1])
-            for race in races:
-                if race.depth >= len(decisions):
-                    continue
-                node = self._nodes.get(tuple(decisions[: race.depth]))
-                if node is None:
-                    continue
-                covered = node.scheduled | node.queued | set(node.sleep)
-                if race.initials & covered:
-                    continue  # the reversed trace is already scheduled
-                enabled = [i for i in node.runnable if i not in covered]
-                if not enabled:
-                    continue
-                if race.preferred in race.initials and race.preferred in enabled:
-                    chosen = [race.preferred]
-                else:
-                    in_enabled = [i for i in sorted(race.initials) if i in enabled]
-                    # no initial is schedulable here (e.g. it was blocked at
-                    # this node): conservatively open every awake sibling
-                    chosen = in_enabled[:1] if in_enabled else enabled
-                for index in chosen:
-                    node.queued.add(index)
-                    new_items.append((tuple(decisions[: race.depth]), index))
-                    reversals += 1
-        with self._lock:
-            self.result.races += len(races)
-            self.result.reversals += reversals
-        if new_items:
-            self._push(new_items)
+        if item is not _ROOT:
+            key, candidate = item
+            parent = self._nodes.get(key)
+            if parent is not None:
+                signature = policy.candidate_signature
+                parent.signatures[candidate] = (
+                    DEPENDENT if signature is None else signature
+                )
+        offset = len(policy.prefix)
+        for position, frame in enumerate(policy.frames):
+            node_key = tuple(decisions[: offset + position])
+            node = self._nodes.get(node_key)
+            if node is None:
+                node = _Node(frame.runnable, frame.sleep, frame.choice)
+                self._nodes[node_key] = node
+            else:
+                node.scheduled.add(frame.choice)
+            if frame.tried:
+                node.signatures.setdefault(frame.choice, frame.tried[0][1])
+        self.result.races += len(races)
+        for race in races:
+            if race.depth >= len(decisions):
+                continue
+            node = self._nodes.get(tuple(decisions[: race.depth]))
+            if node is None:
+                continue
+            covered = node.scheduled | node.queued | set(node.sleep)
+            if race.initials & covered:
+                continue  # the reversed trace is already scheduled
+            enabled = [i for i in node.runnable if i not in covered]
+            if not enabled:
+                continue
+            if race.preferred in race.initials and race.preferred in enabled:
+                chosen = [race.preferred]
+            else:
+                in_enabled = [i for i in sorted(race.initials) if i in enabled]
+                # no initial is schedulable here (e.g. it was blocked at
+                # this node): conservatively open every awake sibling
+                chosen = in_enabled[:1] if in_enabled else enabled
+            for index in chosen:
+                node.queued.add(index)
+                self._frontier.append((tuple(decisions[: race.depth]), index))
+                self.result.reversals += 1
 
-    def _push(self, items: list) -> None:
-        if self.workers <= 1:
-            self._frontier.extend(items)
-        else:
-            with self._frontier_cond:
-                self._frontier.extend(items)
-                self._frontier_cond.notify_all()
-
-    def _drain_sequential(self) -> None:
+    def _drain(self) -> None:
         self._frontier = [_ROOT]
         while self._frontier and not self._stop:
             self._expand(self._frontier.pop())
-
-    def _drain_parallel(self) -> None:
-        self._frontier = [_ROOT]
-        self._frontier_cond = threading.Condition()
-        busy = [0]
-
-        def worker() -> None:
-            while True:
-                with self._frontier_cond:
-                    while not self._frontier and busy[0] > 0 and not self._stop:
-                        self._frontier_cond.wait()
-                    if (not self._frontier and busy[0] == 0) or self._stop:
-                        self._frontier_cond.notify_all()
-                        return
-                    item = self._frontier.pop()
-                    busy[0] += 1
-                try:
-                    self._expand(item)
-                finally:
-                    with self._frontier_cond:
-                        busy[0] -= 1
-                        self._frontier_cond.notify_all()
-
-        threads = [
-            threading.Thread(target=worker, name=f"dpor-worker-{i}", daemon=True)
-            for i in range(self.workers)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
 
     # -- entry point --------------------------------------------------------
     def run(self) -> ExplorationResult:
         if not self.pruning:
             self._dfs()
-        elif self.workers <= 1:
-            self._drain_sequential()
         else:
-            self._drain_parallel()
+            self._drain()
         self.result.truncated = self.budget.exhausted
         return self.result
 
@@ -369,7 +312,6 @@ def explore(
     max_schedules: int | None = None,
     max_depth: int | None = None,
     pruning: bool = True,
-    workers: int = 1,
     observer_factory: Callable | None = None,
     on_schedule: Callable | None = None,
     keep_results: bool = True,
@@ -383,9 +325,7 @@ def explore(
     branches included); ``max_depth`` bounds decisions per run; ``pruning``
     selects source-set DPOR with level-aware race reversal (the default)
     or, when off, the full sequential DFS.  ``observer_factory`` builds
-    fresh per-run observers (e.g. an anomaly monitor); ``workers`` fans the
-    DPOR exploration across threads that steal pending reversals from a
-    shared frontier.
+    fresh per-run observers (e.g. an anomaly monitor).
     ``engine_opts`` passes extra Engine keyword options to every run
     (e.g. ``{"vacuum": "off"}`` to disable version GC).
     """
@@ -397,7 +337,6 @@ def explore(
         max_schedules=max_schedules,
         max_depth=max_depth,
         pruning=pruning,
-        workers=workers,
         observer_factory=observer_factory,
         on_schedule=on_schedule,
         keep_results=keep_results,

@@ -208,12 +208,10 @@ class Worker:
             "--host", worker.host,
             "--port", "0",
             "--workers", str(worker.workers),
-            "--job-workers", str(worker.job_workers),
             "--window-ms", str(worker.window * 1000.0),
             "--queue-limit", str(worker.max_pending),
             "--max-body", str(worker.max_body),
             "--drain-timeout", str(worker.drain_timeout),
-            "--backend", worker.backend,
         ]
         if worker.default_deadline_ms is not None:
             cmd += ["--deadline-ms", str(worker.default_deadline_ms)]

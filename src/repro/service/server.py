@@ -86,7 +86,6 @@ class ServiceConfig:
         host: str = "127.0.0.1",
         port: int = 8923,
         workers: int = 2,
-        job_workers: int = 1,
         window: float = 0.005,
         max_pending: int = 64,
         max_body: int = 1_000_000,
@@ -95,13 +94,11 @@ class ServiceConfig:
         default_deadline_ms: int | None = None,
         cache_dir: str | None = None,
         no_persist: bool = False,
-        backend: str = "thread",
         persist_interval: float = 0.0,
     ) -> None:
         self.host = host
         self.port = port
         self.workers = workers
-        self.job_workers = job_workers
         self.window = window
         self.max_pending = max_pending
         self.max_body = max_body
@@ -110,7 +107,6 @@ class ServiceConfig:
         self.default_deadline_ms = default_deadline_ms
         self.cache_dir = cache_dir
         self.no_persist = no_persist
-        self.backend = backend
         self.persist_interval = persist_interval
         self.validate()
 
@@ -119,7 +115,7 @@ class ServiceConfig:
         if not isinstance(self.port, int) or not 0 <= self.port <= 65535:
             raise ReproError(f"port must be an integer in 0..65535, got {self.port!r}")
         for name, minimum in (
-            ("workers", 1), ("job_workers", 1), ("max_pending", 1), ("max_body", 1),
+            ("workers", 1), ("max_pending", 1), ("max_body", 1),
         ):
             value = getattr(self, name)
             if not isinstance(value, int) or value < minimum:
@@ -143,10 +139,6 @@ class ServiceConfig:
             raise ReproError(
                 "default_deadline_ms must be a positive integer or None,"
                 f" got {self.default_deadline_ms!r}"
-            )
-        if self.backend not in ("thread", "process"):
-            raise ReproError(
-                f"backend must be 'thread' or 'process', got {self.backend!r}"
             )
         if self.persist_interval and self.no_persist:
             raise ReproError("persist_interval requires persistence to be enabled")
@@ -219,8 +211,6 @@ class ReproService(HttpFrontEnd):
         return run_job(
             spec,
             cache=self.cache,
-            workers=self.config.job_workers,
-            backend=self.config.backend,
             no_persist=True,  # the service owns persistence (boot/drain/cycle)
         )
 

@@ -1,10 +1,8 @@
-"""Soundness of the verdict cache, fingerprints, and parallel dispatch.
+"""Soundness of the verdict cache and fingerprints.
 
 The cache is only sound if (a) structurally equal analysis objects get
 equal fingerprints while different ones don't, and (b) a warm run returns
-verdicts identical to a cold run on every application.  Parallel dispatch
-is only sound if it is invisible: ``workers=4`` must reproduce the
-``workers=1`` analysis bit for bit.
+verdicts identical to a cold run on every application.
 """
 
 import pytest
@@ -24,7 +22,6 @@ from repro.core.chooser import analyze_application
 from repro.core.conditions import EXTENDED_LADDER, READ_COMMITTED, check_transaction_at
 from repro.core.formula import TRUE, conj, eq, ge
 from repro.core.interference import InterferenceChecker
-from repro.core.parallel import ParallelPolicy, chunked, parallel_map, resolve_workers
 from repro.core.program import Read, TransactionType, Write
 from repro.core.prover import clear_prover_caches, prover_cache_stats, simplify
 from repro.core.terms import IntConst, Item, Local
@@ -142,40 +139,6 @@ class TestVerdictCache:
 
 
 # ---------------------------------------------------------------------------
-# parallel primitives
-# ---------------------------------------------------------------------------
-
-
-class TestParallelPrimitives:
-    def test_chunked_preserves_order(self):
-        items = list(range(10))
-        chunks = chunked(items, 4)
-        assert [x for chunk in chunks for x in chunk] == items
-        assert all(chunk for chunk in chunks)
-
-    def test_parallel_map_matches_serial(self):
-        fn = lambda x: x * x
-        serial, _ = parallel_map(fn, list(range(20)), workers=1)
-        threaded, _ = parallel_map(fn, list(range(20)), workers=4)
-        assert serial == threaded
-
-    def test_parallel_map_first_hit_is_deterministic(self):
-        items = list(range(20))
-        stop = lambda r: r >= 5
-        for workers in (1, 4):
-            results, stopped = parallel_map(lambda x: x, items, workers, stop_on=stop)
-            assert stopped == 5
-            assert results[:6] == items[:6]
-
-    def test_resolve_workers_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert resolve_workers(None) == 3
-        assert resolve_workers(7) == 7
-        monkeypatch.delenv("REPRO_WORKERS")
-        assert resolve_workers(None) == 1
-
-
-# ---------------------------------------------------------------------------
 # cache soundness on real applications
 # ---------------------------------------------------------------------------
 
@@ -189,7 +152,7 @@ APPS = {
 
 def _verdict_digest(report):
     """Every obligation's outcome, excluding the free-text note (the BMC
-    note counts scenario cases, which chunking may split differently)."""
+    note counts scenario cases, which a warm run does not re-examine)."""
     digest = {}
     for choice in report.choices:
         for attempt in choice.attempts:
@@ -225,19 +188,6 @@ def test_warm_run_identical_to_cold_run(app_name):
     assert warm_checker.stats["cache_hits"] > 0
     assert _verdict_digest(warm) == _verdict_digest(cold)
     assert warm.levels() == cold.levels()
-
-
-def test_workers4_identical_to_serial():
-    app = banking.make_application()
-    serial_checker = InterferenceChecker(app.spec, budget=16, workers=1)
-    serial = analyze_application(app, serial_checker, ladder=EXTENDED_LADDER)
-
-    policy = ParallelPolicy(workers=4, backend="thread")
-    par_checker = InterferenceChecker(app.spec, budget=16, workers=4)
-    par = analyze_application(app, par_checker, ladder=EXTENDED_LADDER, policy=policy)
-
-    assert _verdict_digest(par) == _verdict_digest(serial)
-    assert par.levels() == serial.levels()
 
 
 def test_no_cache_matches_cached_single_level():

@@ -196,6 +196,52 @@ class TestSymbolicPaths:
         assert all(path.store == {} for path in paths)
         assert len(paths) >= 1
 
+    def test_loop_with_unexhausted_bound_leaves_the_fragment(self):
+        """A loop that can still iterate after ``unroll`` iterations is not
+        summarised by its unrollings: the executions that need more
+        iterations would be dropped and tier 2 would prove too much."""
+        k = Local("k")
+        txn = TransactionType(
+            name="Spin",
+            params=(Param("n"),),
+            body=(
+                LocalAssign(k, IntConst(0)),
+                While(lt(k, Param("n")), body=(LocalAssign(k, k + 1),)),
+            ),
+        )
+        assert symbolic_paths(txn, unroll=2) is None
+
+
+def make_drain():
+    """``Drain(n)`` lowers ``x`` by one per iteration, ``n`` times."""
+    x, k, v, n = Item("x"), Local("k"), Local("v"), Param("n")
+    return TransactionType(
+        name="Drain",
+        params=(n,),
+        body=(
+            LocalAssign(k, IntConst(0)),
+            While(
+                lt(k, n),
+                body=(Read(v, x), Write(x, v - 1), LocalAssign(k, k + 1)),
+            ),
+        ),
+        consistency=ge(x, 0),
+    )
+
+
+class TestLoopSoundness:
+    """Tier 2 must not prove what a longer run of the loop refutes."""
+
+    def test_drain_three_times_breaks_the_assertion(self):
+        state = DbState(items={"x": 0})
+        make_drain().run(state, {"n": 3})
+        assert state.read_item("x") == -3
+
+    def test_drain_is_not_proved_to_keep_x_above_minus_two(self):
+        checker = InterferenceChecker(None)
+        verdict = checker._transaction_symbolic(ge(Item("x"), -2), make_drain(), TRUE)
+        assert verdict is None or verdict.interferes
+
 
 class TestApplyStore:
     def test_scalar_substitution(self):

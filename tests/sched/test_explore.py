@@ -152,25 +152,39 @@ class TestBounds:
             assert finals == ((("x", 1),), ("T0",))
 
 
-class TestParallelFanOut:
-    def test_workers_agree_with_sequential(self):
-        """The unpruned DFS is sequential: workers change nothing."""
-        initial = DbState(items={"x": 0})
-        specs = specs_for(["x", "x"])
-        sequential = explore(initial.copy(), specs, pruning=False, workers=1)
-        fanned = explore(initial.copy(), specs, pruning=False, workers=4)
-        assert final_states(fanned) == final_states(sequential)
-        assert (fanned.runs, fanned.schedules) == (sequential.runs, sequential.schedules)
+class TestDeterminism:
+    def test_district_mix_explores_each_trace_once(self):
+        """Two explorations of one tree launch the same runs and find the
+        same violations in the same order; the counts are pinned so that a
+        change to the frontier discipline cannot make them drift unseen."""
+        from repro.apps import tpcc
+        from repro.pipeline.scenarios import scenarios_for
+        from repro.sched.semantic import check_semantic_correctness
 
-    def test_optimal_workers_reach_the_same_states(self):
-        """Frontier stealing may race sibling launches, so worker runs can
-        exceed the sequential count — but never lose an outcome."""
-        initial = DbState(items={"x": 0})
-        specs = specs_for(["x", "x"])
-        sequential = explore(initial.copy(), specs, workers=1)
-        fanned = explore(initial.copy(), specs, workers=4)
-        assert final_states(fanned) == final_states(sequential)
-        assert fanned.schedules >= sequential.schedules
+        app = tpcc.make_application()
+        (scenario,) = [s for s in scenarios_for(app.name) if s.name == "district-mix"]
+        levels = {spec.txn_type.name: "READ UNCOMMITTED" for spec in scenario.specs({})}
+
+        def run():
+            result = explore(scenario.initial(), scenario.specs(levels))
+            violations = []
+            for schedule in result.results:
+                report = check_semantic_correctness(
+                    schedule, scenario.invariant, scenario.cumulative
+                )
+                if not report.correct:
+                    violations.append(report.summary())
+            counts = (
+                result.runs, result.schedules, result.pruned_sleep,
+                result.races, result.reversals,
+            )
+            return counts, violations
+
+        first, second = run(), run()
+        assert first == second
+        counts, violations = first
+        assert counts == (747, 710, 37, 3903, 746)
+        assert len(violations) == 422
 
 
 class TestObservers:

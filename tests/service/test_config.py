@@ -19,7 +19,6 @@ class TestServiceConfigValidation:
             ({"workers": 0}, "workers"),
             ({"workers": -1}, "workers"),
             ({"workers": 1.5}, "workers"),
-            ({"job_workers": 0}, "job_workers"),
             ({"max_pending": 0}, "max_pending"),
             ({"max_pending": "many"}, "max_pending"),
             ({"max_body": 0}, "max_body"),
@@ -35,8 +34,9 @@ class TestServiceConfigValidation:
             ({"port": -1}, "port"),
             ({"port": 65536}, "port"),
             ({"port": "8923"}, "port"),
-            ({"backend": "gevent"}, "backend"),
             ({"persist_interval": 5.0, "no_persist": True}, "persist_interval"),
+            ({"max_body": "big"}, "max_body"),
+            ({"drain_timeout": "soon"}, "drain_timeout"),
         ],
     )
     def test_nonsense_knobs_rejected_by_name(self, kwargs, fragment):
@@ -52,7 +52,7 @@ class TestServiceConfigValidation:
         ServiceConfig(port=0)
         ServiceConfig(port=65535)
         ServiceConfig(window=0.0, drain_timeout=0.0, persist_interval=0.0)
-        ServiceConfig(workers=1, job_workers=1, max_pending=1, max_body=1)
+        ServiceConfig(workers=1, max_pending=1, max_body=1)
         ServiceConfig(default_deadline_ms=1)
         ServiceConfig(persist_interval=2.5, cache_dir=".repro-cache")
 
@@ -68,13 +68,16 @@ class TestParseJobPayload:
 
     def test_dpor_field_rejected_with_400(self):
         # removed selectors are unknown fields: the explorer has one pruning
-        # algorithm, and the checker's tier 1 is the only disjointness pass
+        # algorithm, the checker's tier 1 is the only disjointness pass, and
+        # every job runs on one thread (no in-run worker count or executor)
         import pytest as _pytest
 
         from repro.service.http import HttpError
         from repro.service.server import parse_job_payload
 
-        for field, value in (("dpor", "optimal"), ("use_sdg", False)):
+        for field, value in (
+            ("dpor", "optimal"), ("use_sdg", False), ("workers", 2), ("backend", "process"),
+        ):
             with _pytest.raises(HttpError) as excinfo:
                 parse_job_payload("certify", {"app": "banking", field: value})
             assert excinfo.value.status == 400

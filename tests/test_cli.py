@@ -335,6 +335,56 @@ class TestServeAndFleetFlags:
         assert "max_inflight" in capsys.readouterr().err
 
 
+class TestRemovedFanOutFlags:
+    """Every analysis runs on its caller's thread; the in-run fan-out
+    flags are gone, and passing one is a usage error, not a no-op."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "banking", "--workers", "2"],
+            ["analyze", "banking", "--backend", "process"],
+            ["certify", "banking", "--workers", "2"],
+            ["certify", "banking", "--backend", "process"],
+            ["infer", "banking", "--workers", "2"],
+            ["explore", "banking", "--workers", "2"],
+            ["serve", "--job-workers", "2"],
+            ["serve", "--backend", "process"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_flag_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_cold_cli_import_leaves_multiprocessing_out(self):
+        """No in-run executor means the cold CLI path never imports
+        multiprocessing (it cost 15-22 ms of every cold start)."""
+        import subprocess
+        import sys
+        import textwrap
+        from pathlib import Path
+
+        code = textwrap.dedent(
+            """
+            import sys
+            import repro.cli, repro.pipeline.jobs, repro.core.interference
+            assert "multiprocessing" not in sys.modules, "multiprocessing imported"
+            """
+        )
+        root = Path(__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(root / "src"), "PATH": "/usr/bin:/bin"},
+            cwd=root,
+        )
+        assert result.returncode == 0, result.stderr
+
+
 class TestCompactCommand:
     def _seed_segments(self, directory, count=3):
         from repro.core.cache import FORMULA_SCOPE, VerdictCache

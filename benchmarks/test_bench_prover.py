@@ -1,10 +1,10 @@
-"""E14 — prover-layer performance: hash-consing, fast path, persistence.
+"""E14 — prover-layer performance: hash-consing, persistence.
 
 Four configurations of the same tpcc-lite analysis (extended ladder plus
 snapshot isolation, BMC budget 24, one worker):
 
-- ``baseline``    — hash-consing and the LP-free fast path both disabled;
-  the closest in-tree stand-in for the pre-optimisation prover.
+- ``baseline``    — hash-consing disabled; the closest in-tree stand-in
+  for the pre-optimisation prover.
 - ``cold``        — all layers on, every process-level cache empty.
 - ``warm``        — a second run in the same process (verdict cache and
   prover memos intact).
@@ -27,7 +27,7 @@ import pytest
 
 from benchmarks._report import emit, emit_json
 from repro.apps import tpcc
-from repro.core import prover, terms
+from repro.core import terms
 from repro.core.cache import VerdictCache, clear_fingerprint_cache
 from repro.core.chooser import analyze_application
 from repro.core.conditions import EXTENDED_LADDER
@@ -60,9 +60,9 @@ def _reset_process_caches():
     clear_hashcons_tables()
 
 
-def _run(cache, hash_consing=True, fast_path=True):
-    saved = (terms.HASH_CONSING, prover.USE_FAST_PATH)
-    terms.HASH_CONSING, prover.USE_FAST_PATH = hash_consing, fast_path
+def _run(cache, hash_consing=True):
+    saved = terms.HASH_CONSING
+    terms.HASH_CONSING = hash_consing
     try:
         # the app is built under the flag so baseline terms are not interned
         app = tpcc.make_application()
@@ -73,7 +73,7 @@ def _run(cache, hash_consing=True, fast_path=True):
         )
         cpu_s = time.process_time() - start
     finally:
-        terms.HASH_CONSING, prover.USE_FAST_PATH = saved
+        terms.HASH_CONSING = saved
     return report.levels(), cpu_s, checker
 
 
@@ -82,7 +82,7 @@ def sweep(tmp_path_factory):
     results = {}
 
     _reset_process_caches()
-    levels, cpu_s, _ = _run(VerdictCache(), hash_consing=False, fast_path=False)
+    levels, cpu_s, _ = _run(VerdictCache(), hash_consing=False)
     results["baseline"] = {"levels": levels, "cpu_s": cpu_s}
 
     _reset_process_caches()
@@ -166,9 +166,8 @@ def test_persist_warmed_close_to_in_memory_warm(sweep):
     assert persisted <= 10 * warm, f"persist {persisted:.2f}s vs warm {warm:.2f}s"
 
 
-def test_fast_path_carried_the_cold_run(sweep):
-    """The LP-free path decides cubes in the cold run; linprog stays rare."""
+def test_cold_run_leaves_no_cube_open(sweep):
+    """The integer solver decides every cube of the cold run."""
     prover_stats = sweep["cold"]["prover"]
-    decided = prover_stats["fastpath_sat"] + prover_stats["fastpath_unsat"]
-    assert decided > 0
-    assert prover_stats["lp_calls"] <= decided
+    assert prover_stats["cubes_sat"] + prover_stats["cubes_unsat"] > 0
+    assert prover_stats["cubes_open"] == 0

@@ -17,14 +17,11 @@ Pipeline for :func:`is_satisfiable`:
 3. *disjunctive normal form* (capped — oversized formulas yield UNKNOWN),
    with cubes ordered cheapest-first so a SAT exit is found early;
 4. each cube is decided by: boolean-literal consistency, a union-find over
-   string equalities, and linear-integer reasoning.  Integer cubes go
-   through a pure-Python fast path first — bounds propagation with integer
-   tightening, complete enumeration of small implied boxes, and pairwise
-   Fourier–Motzkin elimination for rational refutation — and only cubes the
-   fast path cannot close fall back to the LP relaxation
-   (``scipy.optimize.linprog`` + rounding + box search).  ``scipy`` is a
-   lazy, optional import: without it, hard cubes degrade to UNKNOWN with a
-   logged reason instead of failing the analysis.
+   string equalities, and linear-integer reasoning.  Integer cubes are
+   decided in pure Python: bounds propagation with integer tightening,
+   complete enumeration of small implied boxes, corner probes, and
+   Fourier–Motzkin elimination over gcd-tightened rows, which refutes the
+   cube or back-substitutes an integer model.
 
 Verdicts are three-valued (:class:`Verdict`); every consumer in the
 interference checker treats ``UNKNOWN`` conservatively.
@@ -32,10 +29,8 @@ interference checker treats ``UNKNOWN`` conservatively.
 
 from __future__ import annotations
 
-import functools
 import itertools
-import logging
-import threading
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -77,31 +72,25 @@ from repro.errors import ProverError
 #: Version of the decision procedure; part of the persistent verdict-store
 #: salt (see :mod:`repro.core.persist`) so verdicts computed by an older
 #: prover can never satisfy a lookup after the procedure changes.
-PROVER_VERSION = "2"
+PROVER_VERSION = "3"
 
 #: Maximum number of DNF cubes explored before giving up with UNKNOWN.
 MAX_CUBES = 4096
 
-#: Half-width of the integer box searched when LP rounding fails.
+#: How far from its first (nearest-zero) value back-substitution moves a
+#: variable before it backtracks.
 BOX_RADIUS = 4
 
-#: Maximum number of integer variables for which box enumeration is tried.
-MAX_BOX_VARS = 5
-
-#: Global switch for the LP-free integer fast path (benchmarks flip it off
-#: to measure the pure-LP baseline; verdicts are identical either way).
-USE_FAST_PATH = True
-
-#: Bounds-propagation rounds before the fast path stops tightening.
+#: Bounds-propagation rounds before the integer solver stops tightening.
 FAST_PROP_ROUNDS = 16
 
-#: Largest implied integer box the fast path enumerates exhaustively.
+#: Largest implied integer box enumerated exhaustively; also the cap on the
+#: values back-substitution tries in total.
 FAST_BOX_LIMIT = 4096
 
-#: Row cap for Fourier–Motzkin elimination before the fast path gives up.
+#: Row cap for one Fourier–Motzkin elimination step before the cube is left
+#: undecided.
 FAST_FM_ROWS = 256
-
-_log = logging.getLogger("repro.prover")
 
 
 class Verdict:
@@ -151,11 +140,9 @@ _memo_stats = {
     "query_hits": 0,
     "query_misses": 0,
     "memo_evictions": 0,
-    "fastpath_sat": 0,
-    "fastpath_unsat": 0,
-    "fastpath_open": 0,  # cubes the fast path could not close
-    "lp_calls": 0,
-    "lp_unavailable": 0,
+    "cubes_sat": 0,
+    "cubes_unsat": 0,
+    "cubes_open": 0,  # integer cubes left undecided (UNKNOWN)
 }
 
 
@@ -163,8 +150,8 @@ def prover_cache_stats() -> dict:
     """Counters and sizes of the prover's memo tables and decision paths.
 
     Includes the simplify/query hit and miss counts, per-table entry counts,
-    derived hit rates, and how many integer cubes the LP-free fast path
-    closed versus handed to ``linprog``.
+    derived hit rates, and how many integer cubes came out SAT, UNSAT or
+    undecided.
     """
     stats = dict(_memo_stats)
     stats["term_memo_size"] = len(_term_memo)
@@ -584,40 +571,7 @@ def _check_int_assignment(constraints: Sequence[_IntConstraint], assignment: dic
     return True
 
 
-# -- lazy LP backend ---------------------------------------------------------
-
-_lp_lock = threading.Lock()
-
-
-def _load_lp():
-    """``(numpy, linprog)`` or None when scipy is not installed.
-
-    The import is deferred to the first cube the fast path cannot close, so
-    fast-path-only installs never pay (or need) the scipy import; the
-    degradation to UNKNOWN is logged once per process.  Concurrent first
-    calls serialise on a lock: no thread may see the backend as missing
-    while another is still importing it, because the UNKNOWN it would
-    report is memoised process-wide.
-    """
-    with _lp_lock:
-        return _import_lp()
-
-
-@functools.cache
-def _import_lp():
-    try:
-        import numpy as np
-        from scipy.optimize import linprog
-    except ImportError:
-        _log.warning(
-            "scipy is not installed; hard linear cubes will be reported "
-            "UNKNOWN (install the 'lp' extra for the LP fallback)"
-        )
-        return None
-    return np, linprog
-
-
-# -- LP-free fast path -------------------------------------------------------
+# -- integer cube decision ---------------------------------------------------
 
 
 def _indexed_rows(constraints: Sequence[_IntConstraint], index: dict) -> list:
@@ -702,27 +656,60 @@ def _propagate_bounds(rows: Sequence, n: int):
     return lower, upper
 
 
-def _fourier_motzkin_refutes(rows: Sequence, n: int) -> bool:
-    """True when pairwise elimination derives ``0 <= negative`` (sound UNSAT).
+def _add_row(rows: dict, coeffs: dict, bound: int) -> bool:
+    """Add ``coeffs . x <= bound`` to a stage; False if it reads ``0 <= negative``.
 
-    Variables are eliminated by position, first to last.  All combinations
-    scale by positive integers, so the arithmetic stays exact over ``int``;
-    rational infeasibility implies integer infeasibility.  Row growth is
-    capped — hitting the cap just means "not refuted here".
+    The row is first divided by the gcd of its coefficients, flooring the
+    bound: exact for integer points, and it lets ``2x <= 3`` merge with
+    ``x <= 1``.  ``rows`` maps each coefficient vector to its row, and
+    only the tightest bound is kept.
     """
-    current = [(dict(coeffs), bound) for coeffs, bound in rows]
+    if not coeffs:
+        return bound >= 0
+    divisor = math.gcd(*coeffs.values())
+    if divisor != 1:
+        coeffs = {var: coeff // divisor for var, coeff in coeffs.items()}
+        bound //= divisor
+    key = tuple(sorted(coeffs.items()))
+    kept = rows.get(key)
+    if kept is None or bound < kept[1]:
+        rows[key] = (coeffs, bound)
+    return True
+
+
+def _fourier_motzkin(rows: Sequence, n: int):
+    """Decide a cube by Fourier–Motzkin elimination and back-substitution.
+
+    Variables are eliminated by position, first to last, and the rows of
+    each stage are kept.  Combinations scale by positive integers, so the
+    arithmetic stays exact over ``int``, and every derived row holds for
+    every integer solution: a derived ``0 <= negative`` refutes the cube.
+    Otherwise every rational point of a stage extends to the stage before,
+    and integer values are chosen last-eliminated variable first, each
+    inside the interval its stage's rows leave given the values already
+    chosen: nearest 0 first, then up to ``BOX_RADIUS`` away, backtracking
+    when an interval holds no integer, with at most ``FAST_BOX_LIMIT``
+    tries in all.  Returns ``(verdict, values)``; UNKNOWN when a step
+    exceeds ``FAST_FM_ROWS`` rows or the search finds no integer model.
+    """
+    current: dict = {}
+    for coeffs, bound in rows:
+        if not _add_row(current, dict(coeffs), bound):
+            return Verdict.UNSAT, None
+    stages = []
     for var in range(n):
-        uppers, lowers, rest = [], [], []
-        for coeffs, bound in current:
+        stages.append(current.values())
+        uppers, lowers, rest = [], [], {}
+        for key, (coeffs, bound) in current.items():
             coeff = coeffs.get(var, 0)
             if coeff > 0:
                 uppers.append((coeffs, bound, coeff))
             elif coeff < 0:
                 lowers.append((coeffs, bound, coeff))
             else:
-                rest.append((coeffs, bound))
+                rest[key] = (coeffs, bound)
         if len(rest) + len(uppers) * len(lowers) > FAST_FM_ROWS:
-            return False
+            return Verdict.UNKNOWN, None
         for u_coeffs, u_bound, u_coeff in uppers:
             for l_coeffs, l_bound, l_coeff in lowers:
                 combo: dict = {}
@@ -733,24 +720,61 @@ def _fourier_motzkin_refutes(rows: Sequence, n: int) -> bool:
                     if key != var:
                         combo[key] = combo.get(key, 0) + u_coeff * value
                 combo = {key: value for key, value in combo.items() if value != 0}
-                new_bound = (-l_coeff) * u_bound + u_coeff * l_bound
-                if not combo:
-                    if 0 > new_bound:
-                        return True
-                    continue
-                rest.append((combo, new_bound))
+                if not _add_row(rest, combo, (-l_coeff) * u_bound + u_coeff * l_bound):
+                    return Verdict.UNSAT, None
         current = rest
-    return any(not coeffs and 0 > bound for coeffs, bound in current)
+
+    values = [0] * n
+    offsets = [0] + [sign * step for step in range(1, BOX_RADIUS + 1) for sign in (1, -1)]
+    tries = 0
+
+    def assign(var: int) -> bool:
+        """Choose values for ``var`` down to position 0; False to backtrack."""
+        nonlocal tries
+        if var < 0:
+            return True
+        low = high = None
+        for coeffs, bound in stages[var]:
+            coeff = coeffs.get(var, 0)
+            if not coeff:
+                continue
+            residual = bound - sum(c * values[i] for i, c in coeffs.items() if i != var)
+            if coeff > 0:
+                limit = residual // coeff  # floor
+                high = limit if high is None else min(high, limit)
+            else:
+                limit = -((-residual) // coeff)  # ceil(residual / coeff)
+                low = limit if low is None else max(low, limit)
+        if low is not None and high is not None and low > high:
+            return False
+        first = 0 if low is None else max(0, low)
+        if high is not None:
+            first = min(first, high)
+        for offset in offsets:
+            value = first + offset
+            if (low is not None and value < low) or (high is not None and value > high):
+                continue
+            if tries >= FAST_BOX_LIMIT:
+                return False
+            tries += 1
+            values[var] = value
+            if assign(var - 1):
+                return True
+        return False
+
+    if assign(n - 1) and _satisfies(rows, values):
+        return Verdict.SAT, values
+    return Verdict.UNKNOWN, None
 
 
 def _fast_int_solve(constraints: Sequence[_IntConstraint], var_list: Sequence):
-    """Decide an integer cube without the LP relaxation where possible.
+    """Decide an integer cube.
 
     SAT answers always carry a verified assignment; UNSAT answers come from
     integer-tightened bounds propagation, exhaustive enumeration of a small
-    implied box, or Fourier–Motzkin rational refutation — all sound.
-    UNKNOWN means "hand the cube to the LP fallback".  The work runs on
-    variable positions (``var_list`` order); only a model maps back to terms.
+    implied box, or Fourier–Motzkin refutation — all sound.
+    UNKNOWN means no step closed the cube.  The work runs on variable
+    positions (``var_list`` order); only a model maps back to terms.
     """
     n = len(var_list)
     rows = _indexed_rows(constraints, {var: i for i, var in enumerate(var_list)})
@@ -788,91 +812,27 @@ def _fast_int_solve(constraints: Sequence[_IntConstraint], var_list: Sequence):
         if _satisfies(rows, values):
             return Verdict.SAT, dict(zip(var_list, values))
 
-    if _fourier_motzkin_refutes(rows, n):
-        return Verdict.UNSAT, None
-    return Verdict.UNKNOWN, None
+    verdict, values = _fourier_motzkin(rows, n)
+    if verdict == Verdict.SAT:
+        return verdict, dict(zip(var_list, values))
+    return verdict, None
 
 
 def _solve_int_constraints(constraints: Sequence[_IntConstraint], variables: dict):
     """Decide a conjunction of linear integer constraints.
 
     Returns ``(verdict, assignment)`` where verdict is SAT/UNSAT/UNKNOWN.
-    The pure-Python fast path runs first; ``linprog`` is only consulted for
-    cubes it leaves open (and is itself optional — see :func:`_load_lp`).
     """
     if not constraints:
         return Verdict.SAT, {}
     var_list = sorted(variables, key=variables.get)
-    n = len(var_list)
-    if n == 0:
+    if not var_list:
         # all constraints are ground
         ok = _check_int_assignment(constraints, {})
         return (Verdict.SAT, {}) if ok else (Verdict.UNSAT, None)
-
-    if USE_FAST_PATH:
-        verdict, assignment = _fast_int_solve(constraints, var_list)
-        if verdict == Verdict.SAT:
-            _memo_stats["fastpath_sat"] += 1
-            return verdict, assignment
-        if verdict == Verdict.UNSAT:
-            _memo_stats["fastpath_unsat"] += 1
-            return verdict, None
-        _memo_stats["fastpath_open"] += 1
-
-    lp = _load_lp()
-    if lp is None:
-        _memo_stats["lp_unavailable"] += 1
-        return Verdict.UNKNOWN, None
-    np, linprog = lp
-    _memo_stats["lp_calls"] += 1
-    index = {var: i for i, var in enumerate(var_list)}
-    rows = _indexed_rows(constraints, index)
-
-    a_ub, b_ub, a_eq, b_eq = [], [], [], []
-    for constraint in constraints:
-        row = [0.0] * n
-        for var, coeff in constraint.coeffs.items():
-            row[index[var]] = float(coeff)
-        if constraint.rel == "<=":
-            a_ub.append(row)
-            b_ub.append(float(constraint.bound))
-        else:
-            a_eq.append(row)
-            b_eq.append(float(constraint.bound))
-    result = linprog(
-        c=np.zeros(n),
-        A_ub=np.array(a_ub) if a_ub else None,
-        b_ub=np.array(b_ub) if b_ub else None,
-        A_eq=np.array(a_eq) if a_eq else None,
-        b_eq=np.array(b_eq) if b_eq else None,
-        bounds=[(None, None)] * n,
-        method="highs",
-    )
-    if result.status == 2:  # infeasible over the rationals => int-infeasible
-        return Verdict.UNSAT, None
-    if result.status != 0 or result.x is None:
-        return Verdict.UNKNOWN, None
-
-    relaxed = result.x
-    # try all floor/ceil roundings of the relaxed solution (capped)
-    if n <= 16:
-        floors = [int(np.floor(v)) for v in relaxed]
-        ceils = [int(np.ceil(v)) for v in relaxed]
-        candidates = itertools.islice(
-            itertools.product(*[(f, c) if f != c else (f,) for f, c in zip(floors, ceils)]),
-            4096,
-        )
-        for candidate in candidates:
-            if _satisfies(rows, candidate):
-                return Verdict.SAT, dict(zip(var_list, candidate))
-    # small-box enumeration around the relaxed point
-    if n <= MAX_BOX_VARS:
-        centers = [int(round(v)) for v in relaxed]
-        ranges = [range(c - BOX_RADIUS, c + BOX_RADIUS + 1) for c in centers]
-        for candidate in itertools.product(*ranges):
-            if _satisfies(rows, candidate):
-                return Verdict.SAT, dict(zip(var_list, candidate))
-    return Verdict.UNKNOWN, None
+    verdict, assignment = _fast_int_solve(constraints, var_list)
+    _memo_stats["cubes_open" if verdict == Verdict.UNKNOWN else f"cubes_{verdict}"] += 1
+    return verdict, assignment
 
 
 # ---------------------------------------------------------------------------
@@ -1079,7 +1039,6 @@ def _is_satisfiable_impl(formula: Formula, assumptions: tuple) -> ProofResult:
     # small ones early avoids deciding large cubes at all on SAT formulas
     # (verdict-neutral: SAT is any-cube, UNSAT is all-cubes)
     cubes.sort(key=len)
-    lp_missing_before = _memo_stats["lp_unavailable"]
     saw_unknown = False
     for cube in cubes:
         verdict, model = _decide_cube(cube)
@@ -1095,10 +1054,7 @@ def _is_satisfiable_impl(formula: Formula, assumptions: tuple) -> ProofResult:
         if verdict == Verdict.UNKNOWN:
             saw_unknown = True
     if saw_unknown:
-        reason = "some cubes undecided"
-        if _memo_stats["lp_unavailable"] > lp_missing_before:
-            reason += " (scipy unavailable: hard cubes degraded; install the 'lp' extra)"
-        return ProofResult(Verdict.UNKNOWN, reason=reason)
+        return ProofResult(Verdict.UNKNOWN, reason="some cubes undecided")
     return ProofResult(Verdict.UNSAT, abstracted=opacifier.used)
 
 

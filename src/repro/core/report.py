@@ -106,10 +106,8 @@ def analysis_stats_table(checker) -> str:
         f"/{prover['query_memo_size']}q entries)"
     )
     lines.append(
-        f"cube fast path: {prover['fastpath_sat']} sat"
-        f" / {prover['fastpath_unsat']} unsat decided LP-free,"
-        f" {prover['fastpath_open']} handed to linprog"
-        f" ({prover['lp_calls']} LP calls, {prover['lp_unavailable']} degraded)"
+        f"integer cubes: {prover['cubes_sat']} sat / {prover['cubes_unsat']} unsat"
+        f" / {prover['cubes_open']} undecided"
     )
     if cache.persist_hits:
         lines.append(

@@ -112,18 +112,24 @@ class TestSaltAndVersioning:
     def test_segment_from_before_relational_effects_misses(self, tmp_path):
         from repro.core.cache import FINGERPRINT_VERSION
         from repro.core.conditions import PLAN_VERSION
+        from repro.core.effects import EFFECTS_VERSION
         from repro.core.prover import PROVER_VERSION
 
-        # the salt segments carried while relational obligations were only
-        # sampled by BMC: their verdicts must not satisfy a lookup now
-        old_salt = f"fp{FINGERPRINT_VERSION}.prover{PROVER_VERSION}.plan{PLAN_VERSION}"
-        assert old_salt != store_salt()
-        PersistentStore(tmp_path, salt=old_salt).flush(_warm_cache())
+        old_salts = (
+            # relational obligations were only sampled by BMC
+            f"fp{FINGERPRINT_VERSION}.prover{PROVER_VERSION}.plan{PLAN_VERSION}",
+            # cubes the LP relaxation decided came out undecided without
+            # scipy, so their obligations fell to BMC
+            f"fp{FINGERPRINT_VERSION}.prover2.effects{EFFECTS_VERSION}.plan{PLAN_VERSION}",
+        )
+        for old_salt in old_salts:
+            assert old_salt != store_salt()
+            PersistentStore(tmp_path, salt=old_salt).flush(_warm_cache())
         fresh = VerdictCache()
         reader = PersistentStore(tmp_path)
         assert reader.load(fresh) == 0
         assert len(fresh) == 0
-        assert reader.stats["segments_skipped"] == 1
+        assert reader.stats["segments_skipped"] == len(old_salts)
 
     def test_format_bump_skips_segment(self, tmp_path):
         store = PersistentStore(tmp_path)

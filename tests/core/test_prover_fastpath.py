@@ -1,12 +1,16 @@
-"""The LP-free cube fast path: soundness, agreement with linprog, lazy scipy.
+"""The integer cube solver: soundness, a brute-force oracle, no scipy.
 
 The property test draws random conjunctions of linear integer constraints
-and checks that the pure-Python fast path and the LP fallback never
-contradict each other: both are sound, so whenever both are decisive they
-must return the same verdict, and every SAT answer must carry a verified
-assignment.
+over at most three variables and compares the solver with exhaustive
+enumeration of a box around the origin: the solver may never call a cube
+UNSAT when the box holds a solution, and every SAT answer must carry an
+assignment that satisfies every constraint.  The regression corpus
+(``data/lp_cubes.json``) holds the cubes that used to need an LP
+relaxation, each with the verdict that relaxation gave.
 """
 
+import itertools
+import json
 import subprocess
 import sys
 import textwrap
@@ -25,6 +29,11 @@ from repro.core.prover import (
 )
 
 VARS = ("a", "b", "c")
+
+#: Half-width of the box the brute-force oracle enumerates.
+ORACLE_RADIUS = 6
+
+CUBES = json.loads((Path(__file__).parent / "data" / "lp_cubes.json").read_text())
 
 
 @st.composite
@@ -49,46 +58,49 @@ def constraint_systems(draw):
     return constraints
 
 
-def _lp_verdict(constraints, variables):
-    """The verdict of the full solver with the fast path disabled."""
-    saved = prover.USE_FAST_PATH
-    prover.USE_FAST_PATH = False
-    try:
-        return _solve_int_constraints(constraints, variables)
-    finally:
-        prover.USE_FAST_PATH = saved
+def _box_solution(constraints):
+    """A solution with every variable within ``ORACLE_RADIUS`` of 0, or None."""
+    span = range(-ORACLE_RADIUS, ORACLE_RADIUS + 1)
+    for values in itertools.product(span, repeat=len(VARS)):
+        assignment = dict(zip(VARS, values))
+        if _check_int_assignment(constraints, assignment):
+            return assignment
+    return None
 
 
-class TestFastPathAgreesWithLP:
+class TestAgainstBoxOracle:
     @settings(max_examples=200, deadline=None)
     @given(constraint_systems())
-    def test_decisive_verdicts_agree(self, constraints):
+    def test_never_refutes_a_box_solution(self, constraints):
         variables = {var: i for i, var in enumerate(VARS)}
-        var_list = sorted(variables, key=variables.get)
+        verdict, assignment = _solve_int_constraints(constraints, variables)
+        if verdict == Verdict.SAT:
+            assert _check_int_assignment(constraints, assignment)
+        if verdict == Verdict.UNSAT:
+            assert _box_solution(constraints) is None
 
-        fast_verdict, fast_assignment = _fast_int_solve(constraints, var_list)
-        lp_verdict, lp_assignment = _lp_verdict(constraints, variables)
 
-        if fast_verdict == Verdict.SAT:
-            assert _check_int_assignment(constraints, fast_assignment)
-            assert lp_verdict != Verdict.UNSAT
-        if lp_verdict == Verdict.SAT:
-            assert _check_int_assignment(constraints, lp_assignment)
-            assert fast_verdict != Verdict.UNSAT
-        if fast_verdict == Verdict.UNSAT:
-            assert lp_verdict != Verdict.SAT
-        if lp_verdict == Verdict.UNSAT:
-            assert fast_verdict != Verdict.SAT
+def _corpus_constraints(cube):
+    return [
+        _IntConstraint({var: coeff for var, coeff in coeffs}, rel, bound)
+        for coeffs, rel, bound in cube["rows"]
+    ]
 
-    @settings(max_examples=100, deadline=None)
-    @given(constraint_systems())
-    def test_full_solver_matches_lp_only(self, constraints):
-        """The combined solver (fast path + fallback) agrees with LP-only."""
-        variables = {var: i for i, var in enumerate(VARS)}
-        combined, _ = _solve_int_constraints(constraints, variables)
-        lp_only, _ = _lp_verdict(constraints, variables)
-        if Verdict.UNKNOWN not in (combined, lp_only):
-            assert combined == lp_only
+
+class TestLpCubeCorpus:
+    """Cubes the bounds, box and probe steps leave open, from the bundled
+    apps and appgen seeds 0–11, with the verdict ``linprog`` gave them."""
+
+    @pytest.mark.parametrize(
+        "cube", CUBES, ids=[f"{cube['source']}-{i}" for i, cube in enumerate(CUBES)]
+    )
+    def test_keeps_the_lp_verdict(self, cube):
+        constraints = _corpus_constraints(cube)
+        variables = {i: i for i in range(cube["n"])}
+        verdict, assignment = _solve_int_constraints(constraints, variables)
+        assert verdict == cube["verdict"]
+        if verdict == Verdict.SAT:
+            assert _check_int_assignment(constraints, assignment)
 
 
 class TestKnownCubes:
@@ -107,7 +119,7 @@ class TestKnownCubes:
 
     def test_integer_tightening_refutes_rational_cube(self):
         # 2a <= 1 and 2a >= 1 has the rational solution a = 1/2 but no
-        # integer one; floor/ceil tightening must refute it LP-free
+        # integer one; floor/ceil tightening must refute it
         cs = [
             _IntConstraint({"a": 2}, "<=", 1),
             _IntConstraint({"a": -2}, "<=", -1),
@@ -123,6 +135,31 @@ class TestKnownCubes:
         assert verdict == Verdict.SAT
         assert assignment["a"] == 7 and assignment["b"] == 7
 
+    @pytest.mark.parametrize(
+        "coeffs, rel, bound",
+        [
+            # bounds neither variable and fails every corner probe
+            ({"a": 1, "b": -1}, "<=", -2),
+            # a's interval from b = 0 is [1/2, inf): its lower end rounds up
+            ({"a": -2, "b": 1}, "<=", -1),
+            # b = 0 leaves a = 1/3 and b = 1 leaves a = 2/3: back-substitution
+            # must backtrack to b = -1, a = 0
+            ({"a": 3, "b": -1}, "==", 1),
+        ],
+    )
+    def test_unbounded_cube_gets_a_model(self, coeffs, rel, bound):
+        cs = [_IntConstraint(coeffs, rel, bound)]
+        verdict, assignment = _fast_int_solve(cs, ["a", "b"])
+        assert verdict == Verdict.SAT
+        assert _check_int_assignment(cs, assignment)
+
+    def test_unbounded_rational_only_cube_unsat(self):
+        # 2a - 2b == 1 is rationally feasible and bounds nothing, but has no
+        # integer solution: the gcd-divided rows a - b <= 0 and b - a <= -1
+        # eliminate to 0 <= -1
+        cs = [_IntConstraint({"a": 2, "b": -2}, "==", 1)]
+        assert _fast_int_solve(cs, ["a", "b"])[0] == Verdict.UNSAT
+
     def test_counters_move(self):
         before = dict(prover._memo_stats)
         _solve_int_constraints(
@@ -130,71 +167,34 @@ class TestKnownCubes:
         )
         after = prover._memo_stats
         moved = (
-            after["fastpath_sat"] - before["fastpath_sat"]
-            + after["fastpath_unsat"] - before["fastpath_unsat"]
-            + after["fastpath_open"] - before["fastpath_open"]
+            after["cubes_sat"] - before["cubes_sat"]
+            + after["cubes_unsat"] - before["cubes_unsat"]
+            + after["cubes_open"] - before["cubes_open"]
         )
         assert moved == 1
 
 
 class TestLazyScipy:
-    def test_missing_lp_degrades_to_unknown(self, monkeypatch):
-        """Hard cubes degrade to UNKNOWN (never crash) without scipy."""
-        monkeypatch.setattr(prover, "_load_lp", lambda: None)
-        monkeypatch.setattr(prover, "USE_FAST_PATH", False)
-        before = prover._memo_stats["lp_unavailable"]
-        verdict, assignment = _solve_int_constraints(
-            [_IntConstraint({"a": 1}, "<=", 5)], {"a": 0}
-        )
-        assert verdict == Verdict.UNKNOWN
-        assert assignment is None
-        assert prover._memo_stats["lp_unavailable"] == before + 1
+    """scipy stays unloaded: nothing in the prover imports it any more."""
 
     def test_importing_prover_does_not_import_scipy(self):
-        """scipy must stay unimported until the LP fallback is consulted."""
+        """Neither importing the prover nor a whole analysis loads scipy,
+        and the analysis leaves no integer cube undecided."""
         code = textwrap.dedent(
             """
+            import contextlib
+            import io
             import sys
             import repro.core.prover
             assert "scipy" not in sys.modules, "prover imported scipy eagerly"
-            """
-        )
-        root = Path(__file__).resolve().parents[2]
-        result = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env={"PYTHONPATH": str(root / "src"), "PATH": "/usr/bin:/bin"},
-            cwd=root,
-        )
-        assert result.returncode == 0, result.stderr
-
-    def test_concurrent_first_loads_agree(self):
-        """Two threads racing the first ``_load_lp`` call see one backend.
-
-        A thread that saw the backend as missing while another was still
-        importing scipy would record an UNKNOWN cube in the process-wide
-        query memo, so concurrent jobs could disagree with serial ones.
-        """
-        pytest.importorskip("scipy")
-        code = textwrap.dedent(
-            """
-            import threading
-            from repro.core import prover
-
-            barrier = threading.Barrier(2)
-            missing = []
-
-            def load():
-                barrier.wait()
-                missing.append(prover._load_lp() is None)
-
-            threads = [threading.Thread(target=load) for _ in range(2)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            assert missing == [False, False], missing
+            from repro.cli import main
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(["analyze", "banking", "--no-persist", "--json"])
+            assert code == 0, code
+            for name in ("scipy", "numpy"):
+                assert name not in sys.modules, f"analysis imported {name}"
+            stats = repro.core.prover.prover_cache_stats()
+            assert stats["cubes_sat"] > 0 and stats["cubes_open"] == 0, stats
             """
         )
         root = Path(__file__).resolve().parents[2]

@@ -280,6 +280,13 @@ def cmd_explore(args) -> int:
         for spec in scenario.specs({}):
             levels[spec.txn_type.name] = args.level
         levels.update(overrides)
+        violations = []
+
+        def check(schedule) -> None:
+            report = check_semantic_correctness(schedule, scenario.invariant, scenario.cumulative)
+            if not report.correct:
+                violations.append((report.summary(), history_string(schedule.history)))
+
         result = explore(
             scenario.initial(),
             scenario.specs(levels),
@@ -287,12 +294,9 @@ def cmd_explore(args) -> int:
             max_schedules=args.max_schedules,
             max_depth=args.max_depth,
             pruning=not args.no_pruning,
+            on_schedule=check,
+            keep_results=False,
         )
-        violations = []
-        for schedule in result.results:
-            report = check_semantic_correctness(schedule, scenario.invariant, scenario.cumulative)
-            if not report.correct:
-                violations.append((report.summary(), history_string(schedule.history)))
         entry = {
             "scenario": scenario.name,
             "levels": levels,
@@ -378,16 +382,15 @@ def cmd_simulate(args) -> int:
         from repro.sched.explore import explore
         from repro.workloads.metrics import RunMetrics
 
+        metrics = RunMetrics()
         exploration = explore(
             initial.copy(),
             specs,
             retry=True,
             max_schedules=args.max_schedules,
-            keep_results=True,
+            on_schedule=metrics.add,
+            keep_results=False,
         )
-        metrics = RunMetrics()
-        for result in exploration.results:
-            metrics.add(result)
         print("policy:     exhaustive")
         print(f"level(s):   {levels}")
         print(
@@ -396,7 +399,7 @@ def cmd_simulate(args) -> int:
             f" {exploration.pruned_sleep},"
             f" truncated: {exploration.truncated})"
         )
-        if exploration.results:
+        if exploration.schedules:
             print(f"throughput: {metrics.throughput:.1f} commits / 1000 steps")
             print(f"wait rate:  {metrics.wait_rate:.3f}")
             print(f"abort rate: {metrics.abort_rate:.3f}")

@@ -100,14 +100,9 @@ def explore_probe(initial, instances, levels, invariant, *, max_schedules):
         InstanceSpec(txn, args, levels.get(txn.name, SERIALIZABLE), name)
         for txn, args, name in instances
     ]
-    result = explore(
-        initial.copy(),
-        specs,
-        max_schedules=max_schedules,
-        keep_results=True,
-    )
     violations = []
-    for schedule in result.results:
+
+    def check(schedule) -> None:
         report = check_semantic_correctness(schedule, invariant)
         if not report.correct:
             violations.append(
@@ -117,6 +112,14 @@ def explore_probe(initial, instances, levels, invariant, *, max_schedules):
                     [outcome.name for outcome in schedule.committed],
                 )
             )
+
+    result = explore(
+        initial.copy(),
+        specs,
+        max_schedules=max_schedules,
+        on_schedule=check,
+        keep_results=False,
+    )
     return result.schedules, violations
 
 

@@ -7,8 +7,8 @@
 2. the **dynamic** explorer (:mod:`repro.sched.explore`) then exhaustively
    enumerates the mixed-level schedules of each registered scenario at the
    recommended assignment, checking every completed schedule against the
-   semantic criterion (:mod:`repro.sched.semantic`) with an
-   :class:`~repro.sched.monitor.AssertionMonitor` attached;
+   semantic criterion (:mod:`repro.sched.semantic`) as it completes, and
+   replaying each witness with an :class:`~repro.sched.monitor.AssertionMonitor`;
 3. each focus type is additionally probed **one level below** its chosen
    level — the theorems claim that level can fail, and the explorer tries
    to exhibit a schedule proving it;
@@ -50,7 +50,7 @@ from repro.core.conditions import ANSI_LADDER, EXTENDED_LADDER, LEVEL_ORDER, SER
 from repro.pipeline.context import RunContext
 from repro.pipeline.scenarios import Scenario, scenarios_for
 from repro.sched.anomalies import SDG_ANOMALY_NAMES, detect_all
-from repro.sched.explore import explore
+from repro.sched.explore import Explorer
 from repro.sched.histories import history_numbering, history_string
 from repro.sched.monitor import AssertionMonitor
 from repro.sched.semantic import check_semantic_correctness
@@ -70,7 +70,7 @@ class Witness:
     history: str | None  # DSL line, None when inexpressible
     levels: dict = field(default_factory=dict)  # DSL txn number -> level
     script: list = field(default_factory=list)  # realised scheduling decisions
-    invalidations: int = 0  # monitor events observed during the run
+    invalidations: int = 0  # monitor events observed on a replay of the run
 
     def replay_command(self) -> str | None:
         if self.history is None:
@@ -340,27 +340,17 @@ def level_below(level: str, ladder) -> str | None:
 def run_probe(scenario: Scenario, type_levels: dict, context: RunContext) -> DynamicProbe:
     """Exhaustively explore one scenario under one level assignment."""
     probe = DynamicProbe(scenario=scenario.name, levels=dict(type_levels))
-    result = explore(
-        scenario.initial(),
-        scenario.specs(type_levels),
-        retry=True,
-        max_schedules=context.max_schedules,
-        max_depth=context.max_depth,
-        pruning=True,
-        observer_factory=AssertionMonitor,
-    )
-    probe.exploration = result.to_dict()
-    probe.schedules = result.schedules
-    for schedule in result.results:
+
+    def settle(schedule) -> None:
         for name, occurrences in detect_all(schedule).items():
             if occurrences:
                 probe.anomalies[name] = probe.anomalies.get(name, 0) + len(occurrences)
         report = check_semantic_correctness(schedule, scenario.invariant, scenario.cumulative)
         if report.correct:
-            continue
+            return
         probe.violations += 1
         if len(probe.witnesses) >= WITNESS_CAP:
-            continue
+            return
         numbering = history_numbering(schedule.history)
         levels = {}
         for outcome in schedule.outcomes:
@@ -368,8 +358,8 @@ def run_probe(scenario: Scenario, type_levels: dict, context: RunContext) -> Dyn
                 number = numbering.get(txn_id)
                 if number is not None:
                     levels[number] = outcome.level
-        monitors = [obs for obs in getattr(schedule, "observers", []) or []]
-        invalidations = sum(len(getattr(m, "events", ())) for m in monitors)
+        monitor = AssertionMonitor()
+        explorer.replay(schedule, [monitor])
         probe.witnesses.append(
             Witness(
                 scenario=scenario.name,
@@ -377,9 +367,23 @@ def run_probe(scenario: Scenario, type_levels: dict, context: RunContext) -> Dyn
                 history=history_string(schedule.history),
                 levels=levels,
                 script=list(schedule.script or []),
-                invalidations=invalidations,
+                invalidations=len(monitor.events),
             )
         )
+
+    explorer = Explorer(
+        scenario.initial(),
+        scenario.specs(type_levels),
+        retry=True,
+        max_schedules=context.max_schedules,
+        max_depth=context.max_depth,
+        pruning=True,
+        on_schedule=settle,
+        keep_results=False,
+    )
+    result = explorer.run()
+    probe.exploration = result.to_dict()
+    probe.schedules = result.schedules
     return probe
 
 

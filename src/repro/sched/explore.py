@@ -31,8 +31,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.core.state import DbState
+from repro.errors import ScheduleError
 from repro.sched.dpor import RaceAnalyzer, accesses_conflict
-from repro.sched.policy import DEPENDENT, ExhaustivePolicy
+from repro.sched.policy import DEPENDENT, ExhaustivePolicy, ReplayPolicy
+from repro.sched.schedule import ScheduleResult
 from repro.sched.simulator import InstanceSpec, Simulator
 
 
@@ -122,7 +124,6 @@ class Explorer:
         max_schedules: int | None = None,
         max_depth: int | None = None,
         pruning: bool = True,
-        observer_factory: Callable | None = None,
         on_schedule: Callable | None = None,
         keep_results: bool = True,
         engine_opts: dict | None = None,
@@ -134,7 +135,6 @@ class Explorer:
         self.max_steps = max_steps
         self.max_depth = max_depth
         self.pruning = pruning
-        self.observer_factory = observer_factory
         self.on_schedule = on_schedule
         self.keep_results = keep_results
         self.budget = _Budget(max_schedules)
@@ -156,12 +156,8 @@ class Explorer:
             max_depth=self.max_depth,
         )
 
-    def _run(self, policy: ExhaustivePolicy):
-        observers = None
-        if self.observer_factory is not None:
-            built = self.observer_factory()
-            observers = built if isinstance(built, (list, tuple)) else [built]
-        simulator = Simulator(
+    def _simulate(self, policy, observers=None) -> ScheduleResult:
+        return Simulator(
             self.initial.copy(),
             self.specs,
             retry=self.retry,
@@ -169,11 +165,10 @@ class Explorer:
             policy=policy,
             observers=observers,
             engine_opts=self.engine_opts,
-        )
-        schedule_result = simulator.run()
-        # let consumers (e.g. the certification pipeline) read per-run
-        # observer state — monitors are born and die with their run
-        schedule_result.observers = observers or []
+        ).run()
+
+    def _run(self, policy: ExhaustivePolicy):
+        schedule_result = self._simulate(policy)
         self.result.runs += 1
         if policy.stop_reason is None:
             self.result.schedules += 1
@@ -186,6 +181,17 @@ class Explorer:
         if policy.stop_reason is None and self.on_schedule is not None:
             self.on_schedule(schedule_result)
         return schedule_result
+
+    def replay(self, schedule: ScheduleResult, observers: Sequence) -> ScheduleResult:
+        """Re-run an explored ``schedule`` from its script with ``observers`` attached.
+
+        A run whose realised script or engine history differs from
+        ``schedule``'s raises :class:`ScheduleError`.
+        """
+        replayed = self._simulate(ReplayPolicy(schedule.script, on_exhausted="stop"), observers)
+        if replayed.script != schedule.script or replayed.history != schedule.history:
+            raise ScheduleError(f"replay of {schedule.script} diverged (realised {replayed.script})")
+        return replayed
 
     # -- unpruned DFS (sibling enumeration) ---------------------------------
     def _dfs(self) -> None:
@@ -312,7 +318,6 @@ def explore(
     max_schedules: int | None = None,
     max_depth: int | None = None,
     pruning: bool = True,
-    observer_factory: Callable | None = None,
     on_schedule: Callable | None = None,
     keep_results: bool = True,
     engine_opts: dict | None = None,
@@ -324,10 +329,9 @@ def explore(
     ``max_schedules`` bounds the total number of simulator runs (pruned
     branches included); ``max_depth`` bounds decisions per run; ``pruning``
     selects source-set DPOR with level-aware race reversal (the default)
-    or, when off, the full sequential DFS.  ``observer_factory`` builds
-    fresh per-run observers (e.g. an anomaly monitor).
-    ``engine_opts`` passes extra Engine keyword options to every run
-    (e.g. ``{"vacuum": "off"}`` to disable version GC).
+    or, when off, the full sequential DFS.  ``engine_opts`` passes extra
+    Engine keyword options to every run (e.g. ``{"vacuum": "off"}`` to
+    disable version GC).
     """
     return Explorer(
         initial,
@@ -337,7 +341,6 @@ def explore(
         max_schedules=max_schedules,
         max_depth=max_depth,
         pruning=pruning,
-        observer_factory=observer_factory,
         on_schedule=on_schedule,
         keep_results=keep_results,
         engine_opts=engine_opts,

@@ -3,7 +3,7 @@
 from repro.core.program import Read, TransactionType, Write
 from repro.core.state import DbState
 from repro.core.terms import Item, Local
-from repro.sched.explore import explore
+from repro.sched.explore import Explorer, explore
 from repro.sched.simulator import InstanceSpec
 
 
@@ -188,29 +188,19 @@ class TestDeterminism:
 
 
 class TestObservers:
-    def test_observer_factory_runs_per_schedule(self):
-        events = []
+    def test_replay_reproduces_every_explored_schedule(self):
+        seen = []
 
-        class Recorder:
-            def __init__(self):
-                self.seen = []
+        def observer(simulator, runtime):
+            seen.append(runtime.spec.name)
 
-            def __call__(self, simulator, runtime):
-                self.seen.append(runtime.spec.name)
-
-        def factory():
-            recorder = Recorder()
-            events.append(recorder)
-            return recorder
-
-        initial = DbState(items={"x": 0})
-        result = explore(
-            initial, specs_for(["x", "x"]), pruning=True, observer_factory=factory
-        )
-        assert len(events) == result.runs
-        # completed schedules expose their own observers for inspection
-        for schedule in result.results:
-            assert len(schedule.observers) == 1
+        explorer = Explorer(DbState(items={"x": 0}), specs_for(["x", "x"]), pruning=True)
+        for schedule in explorer.run().results:
+            seen.clear()
+            replayed = explorer.replay(schedule, [observer])
+            assert replayed.script == schedule.script
+            assert replayed.final.items == schedule.final.items
+            assert seen  # observers attached to a replay see its steps
 
     def test_on_schedule_callback_fires_per_completed_schedule(self):
         count = [0]

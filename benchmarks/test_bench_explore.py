@@ -42,10 +42,18 @@ def incrementer_specs():
     ]
 
 
-def timed_explore(initial, specs, **kwargs):
+def timed_explore(initial, specs, on_schedule=None, **kwargs):
+    """``(result, wall seconds, final states)``, the states collected as they stream."""
+    finals = set()
+
+    def collect(schedule):
+        finals.add(final_state(schedule))
+        if on_schedule is not None:
+            on_schedule(schedule)
+
     start = time.perf_counter()
-    result = explore(initial, specs, **kwargs)
-    return result, time.perf_counter() - start
+    result = explore(initial, specs, on_schedule=collect, **kwargs)
+    return result, time.perf_counter() - start, finals
 
 
 @pytest.fixture(scope="module")
@@ -63,41 +71,42 @@ def runs():
         pruning=False,
         max_schedules=UNPRUNED_CAP,
     )
-    out["bank_pruned"] = timed_explore(scenario.initial(), scenario.specs(levels))
-    out["bank_violations"] = sum(
-        not check_semantic_correctness(
-            schedule, scenario.invariant, scenario.cumulative
-        ).correct
-        for schedule in out["bank_pruned"][0].results
+    violations = []
+
+    def check(schedule):
+        report = check_semantic_correctness(schedule, scenario.invariant, scenario.cumulative)
+        if not report.correct:
+            violations.append(report.summary())
+
+    out["bank_pruned"] = timed_explore(
+        scenario.initial(), scenario.specs(levels), on_schedule=check
     )
+    out["bank_violations"] = len(violations)
     return out
 
 
-def final_states(result):
-    outcomes = set()
-    for schedule in result.results:
-        items = tuple(sorted(schedule.final.items.items()))
-        arrays = tuple(
-            (array, tuple((i, tuple(sorted(row.items()))) for i, row in sorted(rows.items())))
-            for array, rows in sorted(schedule.final.arrays.items())
-        )
-        committed = tuple(sorted(o.name for o in schedule.committed))
-        outcomes.add((items, arrays, committed))
-    return outcomes
+def final_state(schedule):
+    items = tuple(sorted(schedule.final.items.items()))
+    arrays = tuple(
+        (array, tuple((i, tuple(sorted(row.items()))) for i, row in sorted(rows.items())))
+        for array, rows in sorted(schedule.final.arrays.items())
+    )
+    committed = tuple(sorted(o.name for o in schedule.committed))
+    return items, arrays, committed
 
 
 def test_bench_explore_pruning(runs):
     """Pruning shrinks the DFS without losing any reachable outcome."""
-    inc_full, full_wall = runs["inc_full"]
-    inc_pruned, pruned_wall = runs["inc_pruned"]
+    inc_full, full_wall, inc_full_finals = runs["inc_full"]
+    inc_pruned, pruned_wall, inc_pruned_finals = runs["inc_pruned"]
     assert inc_pruned.runs < inc_full.runs
-    assert final_states(inc_pruned) == final_states(inc_full)
+    assert inc_pruned_finals == inc_full_finals
 
-    bank_capped, capped_wall = runs["bank_capped"]
-    bank_pruned, bank_wall = runs["bank_pruned"]
+    bank_capped, capped_wall, bank_capped_finals = runs["bank_capped"]
+    bank_pruned, bank_wall, bank_pruned_finals = runs["bank_pruned"]
     assert not bank_pruned.truncated
     assert bank_pruned.runs < bank_capped.runs
-    assert final_states(bank_pruned) == final_states(bank_capped)
+    assert bank_pruned_finals == bank_capped_finals
     # the smaller tree still surfaces the RC lost update
     assert runs["bank_violations"] > 0
 

@@ -295,7 +295,6 @@ def cmd_explore(args) -> int:
             max_depth=args.max_depth,
             pruning=not args.no_pruning,
             on_schedule=check,
-            keep_results=False,
         )
         entry = {
             "scenario": scenario.name,
@@ -389,7 +388,6 @@ def cmd_simulate(args) -> int:
             retry=True,
             max_schedules=args.max_schedules,
             on_schedule=metrics.add,
-            keep_results=False,
         )
         print("policy:     exhaustive")
         print(f"level(s):   {levels}")

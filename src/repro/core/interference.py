@@ -1162,10 +1162,24 @@ class InterferenceChecker:
         dirty_reads: bool,
         fcw_targets: list | None,
     ) -> tuple:
-        """Scan the initial states; returns (witness, cases, exhaustive)."""
+        """Scan the initial states; returns (witness, cases, exhaustive).
+
+        Only the coupling of the two sides runs per (target, source)
+        assignment pair: the assumption, the FCW excuse, the source's
+        consistency at each live activation position, and the injection.
+        The target's side of ordering A (:meth:`_target_frame`) is built
+        once per target assignment; the source's precondition, entry
+        consistency and write targets once per source assignment
+        (:meth:`_source_entries`), for a whole state when the source space
+        is exhaustive.  Sampled spaces are redrawn for every target
+        assignment, as the rng sequence requires, and filtered inline.
+        ``cases`` is exact when no witness is found.
+        """
         counter = {"cases": 0}
         target_params = tuple(target.params)
         source_params = tuple(source.params)
+        dirty = mode in ("statement", "rollback") and dirty_reads
+        source_static = None
         if fcw_excuse:
             target_static = (
                 fcw_targets if fcw_targets is not None else static_write_targets(target)
@@ -1174,34 +1188,55 @@ class InterferenceChecker:
         for state0 in states:
             target_space, t_exhaustive = self._assignment_space(target_params, rng)
             exhaustive = exhaustive and t_exhaustive
+            exhaustive_sources = None
             for target_env, target_args in target_space:
                 source_space, s_exhaustive = self._assignment_space(source_params, rng)
                 exhaustive = exhaustive and s_exhaustive
-                for source_env, source_args in source_space:
-                    if not self._memo_holds(source.param_pre, state0, source_env):
-                        continue
+                cases, live = self._target_frame(
+                    state0, target, target_env, target_args, assertion
+                )
+                if not cases and not dirty:
+                    continue  # neither ordering can examine a case
+                if s_exhaustive:
+                    if exhaustive_sources is None:
+                        exhaustive_sources = list(self._source_entries(
+                            state0, source, source_space, dirty, source_static
+                        ))
+                    sources = exhaustive_sources
+                else:
+                    sources = self._source_entries(
+                        state0, source, source_space, dirty, source_static
+                    )
+                if fcw_excuse:
+                    target_writes = _concrete_write_targets(
+                        target, target_env, restrict=target_static
+                    )
+                for source_env, source_args, consistency_key, starts, source_writes in sources:
                     if assumption is not TRUE and not self._memo_holds(
                         assumption, state0, {**target_env, **source_env}
                     ):
                         continue
-                    if fcw_excuse:
-                        target_writes = _concrete_write_targets(
-                            target, target_env, restrict=target_static
-                        )
-                        source_writes = _concrete_write_targets(
-                            source, source_env, restrict=source_static
-                        )
-                        if (
-                            target_writes is not None
-                            and source_writes is not None
-                            and target_writes & source_writes
+                    if (
+                        fcw_excuse
+                        and target_writes is not None
+                        and source_writes is not None
+                        and target_writes & source_writes
+                    ):
+                        continue  # first-committer-wins aborts one of them
+                    # ordering A: the target reached each live position first
+                    counter["cases"] += cases
+                    witness = None
+                    for mid_state, mid_env in live:
+                        if not self._memo_holds(
+                            source.consistency, mid_state, source_env, consistency_key
                         ):
-                            continue  # first-committer-wins aborts one of them
-                    witness = self._scenario_a(
-                        state0, target, target_env, target_args, source, source_env,
-                        source_args, assertion, mode, stmt, counter,
-                    )
-                    if witness is None and mode in ("statement", "rollback") and dirty_reads:
+                            continue
+                        witness = self._inject_source(
+                            assertion, mid_state, mid_env, source, source_args, mode, stmt
+                        )
+                        if witness is not None:
+                            break
+                    if witness is None and dirty and starts:
                         witness = self._scenario_b(
                             state0, target, target_env, target_args, source, source_env,
                             source_args, assertion, mode, stmt, counter,
@@ -1214,23 +1249,28 @@ class InterferenceChecker:
                         return witness, counter["cases"], exhaustive
         return None, counter["cases"], exhaustive
 
-    def _scenario_a(
-        self, state0, target, target_env, target_args, source, source_env,
-        source_args, assertion, mode, stmt, counter,
-    ) -> Witness | None:
-        """Target reaches an activation point first, then the source acts."""
+    def _target_frame(self, state0, target, target_env, target_args, assertion) -> tuple:
+        """Ordering A's target side at ``state0``: ``(cases, live)``.
+
+        ``cases`` counts the target's activation positions once positions
+        that share a snapshot *and* an assertion-relevant env view are
+        merged: such positions see the same injections, every assertion
+        evaluation and hence the witness verdict coincide.  ``live`` lists,
+        in trace order, the ``(state, env)`` of the merged positions at
+        which the assertion holds, the only ones a source can falsify.
+        ``(0, ())`` when the target cannot start at ``state0`` or its run
+        fails.
+        """
         if not self._memo_holds(target.consistency, state0, target_env):
-            return None
+            return 0, ()
         if not self._memo_holds(target.param_pre, state0, target_env):
-            return None
+            return 0, ()
         try:
             target_trace = self._cached_trace(target, state0, target_args)
         except EvaluationError:
-            return None
-        # positions sharing a snapshot *and* an assertion-relevant env view
-        # are fully equivalent for injection — the injected states, every
-        # assertion evaluation and hence the witness verdict coincide — so
-        # each equivalence class is examined once
+            return 0, ()
+        cases = 0
+        live = []
         seen: set = set()
         for position in _activation_positions(assertion, target_trace):
             mid_state = target_trace.states[position]
@@ -1241,25 +1281,43 @@ class InterferenceChecker:
                 if dedupe in seen:
                     continue
                 seen.add(dedupe)
-            counter["cases"] += 1
-            if not self._memo_holds(source.consistency, mid_state, source_env):
+            cases += 1
+            if self._memo_holds(assertion.formula, mid_state, mid_env, env_key):
+                live.append((mid_state, mid_env))
+        return cases, live
+
+    def _source_entries(self, state0, source, space, dirty, static_targets):
+        """The assignments of ``space`` whose precondition holds at ``state0``.
+
+        Yields ``(env, args, consistency_key, starts, writes)``: the
+        :func:`_env_key` of ``source.consistency`` under ``env``, whether
+        the source can start at ``state0`` (ordering B's entry check, only
+        evaluated when ``dirty``), and its concrete write targets under
+        ``static_targets`` (None when that is None, i.e. without an FCW
+        excuse).
+        """
+        for env, args in space:
+            if not self._memo_holds(source.param_pre, state0, env):
                 continue
-            if not self._memo_holds(assertion.formula, mid_state, mid_env, env_key):
-                continue
-            witness = self._inject_source(
-                assertion, mid_state, mid_env, source, source_args, mode, stmt
+            consistency_key = _env_key(source.consistency, env)
+            starts = dirty and self._memo_holds(
+                source.consistency, state0, env, consistency_key
             )
-            if witness is not None:
-                return witness
-        return None
+            writes = (
+                _concrete_write_targets(source, env, restrict=static_targets)
+                if static_targets is not None
+                else None
+            )
+            yield env, args, consistency_key, starts, writes
 
     def _scenario_b(
         self, state0, target, target_env, target_args, source, source_env,
         source_args, assertion, mode, stmt, counter,
     ) -> Witness | None:
-        """The source runs a prefix first; the target reads through it."""
-        if not self._memo_holds(source.consistency, state0, source_env):
-            return None
+        """The source runs a prefix first; the target reads through it.
+
+        The caller has checked that the source can start at ``state0``.
+        """
         try:
             source_trace = self._cached_trace(source, state0, source_args)
         except EvaluationError:

@@ -133,6 +133,8 @@ MEMO_CAP = 200_000
 _term_memo: dict = {}
 _formula_memo: dict = {}
 _query_memo: dict = {}
+#: integer comparison literal -> (constraints, atoms in registration order)
+_literal_memo: dict = {}
 
 _memo_stats = {
     "simplify_hits": 0,
@@ -157,6 +159,7 @@ def prover_cache_stats() -> dict:
     stats["term_memo_size"] = len(_term_memo)
     stats["formula_memo_size"] = len(_formula_memo)
     stats["query_memo_size"] = len(_query_memo)
+    stats["literal_memo_size"] = len(_literal_memo)
     simplify_total = stats["simplify_hits"] + stats["simplify_misses"]
     stats["simplify_hit_rate"] = (
         round(stats["simplify_hits"] / simplify_total, 4) if simplify_total else 0.0
@@ -173,6 +176,7 @@ def clear_prover_caches() -> None:
     _term_memo.clear()
     _formula_memo.clear()
     _query_memo.clear()
+    _literal_memo.clear()
     for key in _memo_stats:
         _memo_stats[key] = 0
 
@@ -444,6 +448,38 @@ def _nnf(formula: Formula, negate: bool) -> Formula:
     raise ProverError(f"formula not opacified before NNF: {formula!r}")
 
 
+def _dnf_size(formula: Formula) -> int | None:
+    """Length of :func:`_dnf_cubes`'s result without building it.
+
+    Follows its cap check for check: an ``Or`` sums and an ``And``
+    multiplies its operands' counts, each tested against ``MAX_CUBES``
+    after every operand, so the count is None exactly when the cubes are.
+    """
+    if isinstance(formula, Or):
+        total = 0
+        for op in formula.operands:
+            sub = _dnf_size(op)
+            if sub is None:
+                return None
+            total += sub
+            if total > MAX_CUBES:
+                return None
+        return total
+    if isinstance(formula, And):
+        total = 1
+        for op in formula.operands:
+            sub = _dnf_size(op)
+            if sub is None:
+                return None
+            total *= sub
+            if total > MAX_CUBES:
+                return None
+        return total
+    if isinstance(formula, Bottom):
+        return 0
+    return 1
+
+
 def _dnf_cubes(formula: Formula) -> list | None:
     """Cubes (lists of literals) of the DNF; None if the cap is exceeded."""
     if isinstance(formula, Or):
@@ -537,8 +573,27 @@ class _IntConstraint:
     bound: int
 
 
-def _int_constraints_of_literal(literal: Cmp, variables: dict) -> list | None:
-    """Translate an integer comparison into <= / == constraints."""
+def _int_constraints_of_literal(literal: Cmp, variables: dict) -> tuple | None:
+    """Translate an integer comparison into <= / == constraints.
+
+    Memoised on the hash-consed literal: a literal recurs in many cubes
+    and queries, and its translation depends on nothing else.  The cached
+    atoms, in the order :func:`_linearize` first met them, are replayed
+    into ``variables`` so positions match a fresh translation.  The
+    returned constraints are shared and must not be mutated.
+    """
+    cached = _literal_memo.get(literal)
+    if cached is None:
+        atoms: dict = {}
+        cached = (_translate_literal(literal, atoms), tuple(atoms))
+        _memo_put(_literal_memo, literal, cached)
+    constraints, atoms = cached
+    for atom in atoms:
+        variables.setdefault(atom, len(variables))
+    return constraints
+
+
+def _translate_literal(literal: Cmp, variables: dict) -> tuple | None:
     lhs = _linearize(literal.left, variables)
     rhs = _linearize(literal.right, variables)
     if lhs is None or rhs is None:
@@ -547,17 +602,17 @@ def _int_constraints_of_literal(literal: Cmp, variables: dict) -> list | None:
     const = diff.pop(None, 0)
     op = literal.op
     if op == "==":
-        return [_IntConstraint(diff, "==", -const)]
+        return (_IntConstraint(diff, "==", -const),)
     if op == "<=":
-        return [_IntConstraint(diff, "<=", -const)]
+        return (_IntConstraint(diff, "<=", -const),)
     if op == "<":
-        return [_IntConstraint(diff, "<=", -const - 1)]
+        return (_IntConstraint(diff, "<=", -const - 1),)
     if op == ">=":
         neg = {key: -coeff for key, coeff in diff.items()}
-        return [_IntConstraint(neg, "<=", const)]
+        return (_IntConstraint(neg, "<=", const),)
     if op == ">":
         neg = {key: -coeff for key, coeff in diff.items()}
-        return [_IntConstraint(neg, "<=", const - 1)]
+        return (_IntConstraint(neg, "<=", const - 1),)
     raise ProverError(f"unexpected integer literal {literal!r}")
 
 
@@ -1032,9 +1087,9 @@ def _is_satisfiable_impl(formula: Formula, assumptions: tuple) -> ProofResult:
     opacifier = _Opacifier()
     abstracted_goal = opacifier.run(goal)
     nnf = _nnf(abstracted_goal, negate=False)
-    cubes = _dnf_cubes(nnf)
-    if cubes is None:
+    if _dnf_size(nnf) is None:
         return ProofResult(Verdict.UNKNOWN, reason="DNF size cap exceeded")
+    cubes = _dnf_cubes(nnf)
     # cheapest cubes first: a single SAT cube ends the query, so trying the
     # small ones early avoids deciding large cubes at all on SAT formulas
     # (verdict-neutral: SAT is any-cube, UNSAT is all-cubes)

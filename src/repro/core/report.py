@@ -103,7 +103,7 @@ def analysis_stats_table(checker) -> str:
         f" {prover['simplify_misses']} misses,"
         f" queries {prover['query_hits']} hits / {prover['query_misses']} misses"
         f" ({prover['term_memo_size']}t/{prover['formula_memo_size']}f"
-        f"/{prover['query_memo_size']}q entries)"
+        f"/{prover['query_memo_size']}q/{prover['literal_memo_size']}l entries)"
     )
     lines.append(
         f"integer cubes: {prover['cubes_sat']} sat / {prover['cubes_unsat']} unsat"

@@ -118,7 +118,6 @@ def explore_probe(initial, instances, levels, invariant, *, max_schedules):
         specs,
         max_schedules=max_schedules,
         on_schedule=check,
-        keep_results=False,
     )
     return result.schedules, violations
 

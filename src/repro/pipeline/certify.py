@@ -379,7 +379,6 @@ def run_probe(scenario: Scenario, type_levels: dict, context: RunContext) -> Dyn
         max_depth=context.max_depth,
         pruning=True,
         on_schedule=settle,
-        keep_results=False,
     )
     result = explorer.run()
     probe.exploration = result.to_dict()

@@ -8,7 +8,7 @@
 * :mod:`repro.sched.schedule` — results: commit order, per-instance
   environments, per-commit committed-state snapshots, engine history;
 * :mod:`repro.sched.serializability` — conflict graph over the committed
-  transactions (networkx) and the conflict-serializability verdict;
+  transactions and the conflict-serializability verdict;
 * :mod:`repro.sched.semantic` — the paper's *semantic correctness* check:
   consistency of the final state, per-transaction results ``Q_i`` at commit
   time, cumulative results, and serial-replay comparison;

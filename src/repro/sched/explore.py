@@ -27,7 +27,7 @@ level-aware access sets of :meth:`repro.sched.dpor.RaceAnalyzer.online_signature
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.core.state import DbState
@@ -71,7 +71,6 @@ class ExplorationResult:
     reversals: int = 0  # reversal candidates enqueued (optimal mode)
     truncated_depth: int = 0  # branches cut by the max_depth bound
     truncated: bool = False  # run budget exhausted before the tree was done
-    results: list = field(default_factory=list)  # ScheduleResults (keep_results)
 
     def to_dict(self) -> dict:
         return {
@@ -125,7 +124,6 @@ class Explorer:
         max_depth: int | None = None,
         pruning: bool = True,
         on_schedule: Callable | None = None,
-        keep_results: bool = True,
         engine_opts: dict | None = None,
     ) -> None:
         self.engine_opts = dict(engine_opts or {})
@@ -136,7 +134,6 @@ class Explorer:
         self.max_depth = max_depth
         self.pruning = pruning
         self.on_schedule = on_schedule
-        self.keep_results = keep_results
         self.budget = _Budget(max_schedules)
         self.result = ExplorationResult(mode="optimal" if pruning else "none")
         # DPOR state: the node registry and the reversal frontier
@@ -172,8 +169,6 @@ class Explorer:
         self.result.runs += 1
         if policy.stop_reason is None:
             self.result.schedules += 1
-            if self.keep_results:
-                self.result.results.append(schedule_result)
         elif policy.stop_reason == "sleep":
             self.result.pruned_sleep += 1
         elif policy.stop_reason == "depth":
@@ -319,13 +314,12 @@ def explore(
     max_depth: int | None = None,
     pruning: bool = True,
     on_schedule: Callable | None = None,
-    keep_results: bool = True,
     engine_opts: dict | None = None,
 ) -> ExplorationResult:
     """Explore the scheduling tree of ``specs`` over ``initial``.
 
-    Returns an :class:`ExplorationResult`; completed schedules are kept in
-    ``result.results`` (``keep_results``) and streamed to ``on_schedule``.
+    Returns an :class:`ExplorationResult`; each completed schedule is
+    streamed to ``on_schedule`` as it completes and not kept.
     ``max_schedules`` bounds the total number of simulator runs (pruned
     branches included); ``max_depth`` bounds decisions per run; ``pruning``
     selects source-set DPOR with level-aware race reversal (the default)
@@ -342,7 +336,6 @@ def explore(
         max_depth=max_depth,
         pruning=pruning,
         on_schedule=on_schedule,
-        keep_results=keep_results,
         engine_opts=engine_opts,
     ).run()
 
@@ -393,7 +386,6 @@ def invariant_oracle(
         max_schedules=max_schedules,
         max_steps=max_steps,
         on_schedule=check,
-        keep_results=False,
     )
     violations["__schedules__"] = examined[0]
     return violations

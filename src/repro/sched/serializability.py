@@ -4,7 +4,8 @@ Builds the classical precedence (conflict) graph over the *committed*
 transactions of an engine history: an edge ``Ti -> Tj`` whenever an
 operation of ``Ti`` conflicts with a later operation of ``Tj`` on the same
 location (write-write, write-read or read-write).  The schedule is
-conflict-serializable iff the graph is acyclic (networkx cycle search).
+conflict-serializable iff the graph is acyclic (the waits-for graph's
+cycle search, :func:`repro.engine.deadlock.find_cycle`).
 
 Relational reads record the table and the rids they returned; a read of a
 table conflicts with inserts/deletes on that table (coarse, phantom-aware)
@@ -15,8 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
+from repro.engine.deadlock import find_cycle
 from repro.engine.manager import HistoryOp
 
 
@@ -64,10 +64,13 @@ def _locations_conflict(a: tuple, b: tuple) -> bool:
     return False
 
 
-def conflict_graph(history, committed_ids) -> nx.DiGraph:
-    """The precedence graph over the committed transactions."""
-    graph = nx.DiGraph()
-    graph.add_nodes_from(committed_ids)
+def conflict_graph(history, committed_ids) -> dict:
+    """The precedence graph over the committed transactions.
+
+    Maps each transaction id to an insertion-ordered dict of its
+    successors.
+    """
+    graph: dict = {txn_id: {} for txn_id in committed_ids}
     ops = [op for op in history if op.txn_id in committed_ids and op.kind in ("r", "w", "ins", "del", "upd")]
     for i, earlier in enumerate(ops):
         e_reads, e_writes = _access_sets(earlier)
@@ -83,8 +86,23 @@ def conflict_graph(history, committed_ids) -> nx.DiGraph:
                 _locations_conflict(a, b) for a in e_reads for b in l_writes
             )
             if conflicting:
-                graph.add_edge(earlier.txn_id, later.txn_id)
+                graph[earlier.txn_id][later.txn_id] = None
     return graph
+
+
+def _topological_order(graph: dict) -> list:
+    """Kahn's order of an acyclic graph, generation by generation."""
+    indegree = dict.fromkeys(graph, 0)
+    for successors in graph.values():
+        for node in successors:
+            indegree[node] += 1
+    order = [node for node, degree in indegree.items() if degree == 0]
+    for node in order:  # ``order`` grows as generations are released
+        for successor in graph[node]:
+            indegree[successor] -= 1
+            if indegree[successor] == 0:
+                order.append(successor)
+    return order
 
 
 def check_conflict_serializability(result) -> ConflictReport:
@@ -93,10 +111,8 @@ def check_conflict_serializability(result) -> ConflictReport:
         txn_id for outcome in result.committed for txn_id in outcome.txn_ids[-1:]
     }
     graph = conflict_graph(result.history, committed_ids)
-    try:
-        cycle_edges = nx.find_cycle(graph)
-        cycle = [edge[0] for edge in cycle_edges]
-        return ConflictReport(False, cycle, edges=list(graph.edges))
-    except nx.NetworkXNoCycle:
-        order = list(nx.topological_sort(graph))
-        return ConflictReport(True, None, edges=list(graph.edges), serial_order=order)
+    edges = [(node, successor) for node, successors in graph.items() for successor in successors]
+    cycle = find_cycle(graph)
+    if cycle is not None:
+        return ConflictReport(False, cycle, edges=edges)
+    return ConflictReport(True, None, edges=edges, serial_order=_topological_order(graph))

@@ -202,7 +202,11 @@ class TestLazyScipy:
             [sys.executable, "-c", code],
             capture_output=True,
             text=True,
-            env={"PYTHONPATH": str(root / "src"), "PATH": "/usr/bin:/bin"},
+            env={
+                "PYTHONPATH": str(root / "src"),
+                "PATH": "/usr/bin:/bin",
+                "PYTHONDONTWRITEBYTECODE": "1",
+            },
             cwd=root,
         )
         assert result.returncode == 0, result.stderr

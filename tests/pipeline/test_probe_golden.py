@@ -45,8 +45,13 @@ def test_probe_matches_golden(cell):
 
 def _first_violation(app: str, name: str, level: str):
     scenario = scenario_named(app, name)
-    explorer = Explorer(scenario.initial(), scenario.specs({n: level for n in scenario.focus}))
-    for schedule in explorer.run().results:
+    schedules = []
+    explorer = Explorer(
+        scenario.initial(), scenario.specs({n: level for n in scenario.focus}),
+        on_schedule=schedules.append,
+    )
+    explorer.run()
+    for schedule in schedules:
         if not check_semantic_correctness(schedule, scenario.invariant).correct:
             return explorer, schedule
     raise AssertionError("no violating schedule")

@@ -78,25 +78,29 @@ def scenario(app, name):
 
 
 def run(scen, level, **kwargs):
+    """The exploration's result and the completed schedules it streamed."""
     levels = {spec.txn_type.name: level for spec in scen.specs({})}
-    return explore(
-        scen.initial(), scen.specs(levels), retry=True, max_schedules=50_000, **kwargs
+    schedules = []
+    result = explore(
+        scen.initial(), scen.specs(levels), retry=True, max_schedules=50_000,
+        on_schedule=schedules.append, **kwargs,
     )
+    return result, schedules
 
 
-def final_states(result):
+def final_states(schedules):
     return {
         (
             schedule.final.canonical(),
             tuple(sorted((o.name, o.status) for o in schedule.outcomes)),
         )
-        for schedule in result.results
+        for schedule in schedules
     }
 
 
-def violation_summaries(scen, result):
+def violation_summaries(scen, schedules):
     summaries = set()
-    for schedule in result.results:
+    for schedule in schedules:
         report = check_semantic_correctness(schedule, scen.invariant, scen.cumulative)
         if not report.correct:
             summaries.add(report.summary())
@@ -107,11 +111,13 @@ def violation_summaries(scen, result):
 @pytest.mark.parametrize("level", LEVELS)
 def test_small_scenarios_agree_with_unpruned_dfs(app, name, level):
     scen = scenario(app, name)
-    full = run(scen, level, pruning=False)
-    optimal = run(scen, level)
+    full, full_schedules = run(scen, level, pruning=False)
+    optimal, optimal_schedules = run(scen, level)
     assert not full.truncated
-    assert final_states(optimal) == final_states(full)
-    assert violation_summaries(scen, optimal) == violation_summaries(scen, full)
+    assert final_states(optimal_schedules) == final_states(full_schedules)
+    assert violation_summaries(scen, optimal_schedules) == violation_summaries(
+        scen, full_schedules
+    )
     assert optimal.runs <= full.runs
 
 
@@ -120,15 +126,16 @@ def test_small_scenarios_agree_with_unpruned_dfs(app, name, level):
 )
 def test_large_scenarios_agree_across_pruning_modes(app, name, level):
     scen = scenario(app, name)
-    optimal = run(scen, level)
+    optimal, optimal_schedules = run(scen, level)
     assert not optimal.truncated
     pinned = PINNED.get((app, name, level))
     if pinned is not None:
         states, violations = pinned
     else:
-        full = run(scen, level, pruning=False)
+        full, full_schedules = run(scen, level, pruning=False)
         assert not full.truncated
-        states, violations = final_states(full), violation_summaries(scen, full)
+        states = final_states(full_schedules)
+        violations = violation_summaries(scen, full_schedules)
         assert optimal.runs < full.runs  # the reduction must actually reduce
-    assert final_states(optimal) == states
-    assert violation_summaries(scen, optimal) == violations
+    assert final_states(optimal_schedules) == states
+    assert violation_summaries(scen, optimal_schedules) == violations

@@ -21,10 +21,16 @@ def specs_for(items, level="READ COMMITTED"):
     ]
 
 
-def final_states(result):
+def explore_schedules(initial, specs, **kwargs):
+    """``explore``'s result and the completed schedules it streamed."""
+    schedules = []
+    return explore(initial, specs, on_schedule=schedules.append, **kwargs), schedules
+
+
+def final_states(schedules):
     """The set of distinct outcomes reached — items plus commit census."""
     outcomes = set()
-    for schedule in result.results:
+    for schedule in schedules:
         items = tuple(sorted(schedule.final.items.items()))
         committed = tuple(sorted(o.name for o in schedule.committed))
         outcomes.add((items, committed))
@@ -36,48 +42,48 @@ class TestPruning:
         """Acceptance: DPOR pruning measurably shrinks the DFS."""
         initial = DbState(items={"x": 0})
         specs = specs_for(["x", "x"])
-        full = explore(initial.copy(), specs, pruning=False)
-        pruned = explore(initial.copy(), specs, pruning=True)
+        full, full_schedules = explore_schedules(initial.copy(), specs, pruning=False)
+        pruned, pruned_schedules = explore_schedules(initial.copy(), specs, pruning=True)
         assert pruned.runs < full.runs
         assert pruned.schedules < full.schedules
         # pruning must not lose outcomes: every reachable final state of the
         # full tree is reached by the pruned one as well
-        assert final_states(pruned) == final_states(full)
+        assert final_states(pruned_schedules) == final_states(full_schedules)
 
     def test_disjoint_instances_prune_heavily(self):
         initial = DbState(items={"x": 0, "y": 0})
         specs = specs_for(["x", "y"], level="SERIALIZABLE")
-        full = explore(initial.copy(), specs, pruning=False)
-        pruned = explore(initial.copy(), specs, pruning=True)
+        full, full_schedules = explore_schedules(initial.copy(), specs, pruning=False)
+        pruned, pruned_schedules = explore_schedules(initial.copy(), specs, pruning=True)
         assert pruned.runs < full.runs
-        assert final_states(pruned) == final_states(full)
+        assert final_states(pruned_schedules) == final_states(full_schedules)
 
     def test_disjoint_instances_race_free_under_dpor(self):
         """Two instances on disjoint items have no races: one schedule."""
         initial = DbState(items={"x": 0, "y": 0})
         specs = specs_for(["x", "y"], level="SERIALIZABLE")
-        full = explore(initial.copy(), specs, pruning=False)
-        optimal = explore(initial.copy(), specs)
+        _full, full_schedules = explore_schedules(initial.copy(), specs, pruning=False)
+        optimal, optimal_schedules = explore_schedules(initial.copy(), specs)
         assert optimal.runs == 1
         assert optimal.reversals == 0
-        assert final_states(optimal) == final_states(full)
+        assert final_states(optimal_schedules) == final_states(full_schedules)
 
     def test_lost_update_is_reached_at_read_committed(self):
         initial = DbState(items={"x": 0})
-        result = explore(initial, specs_for(["x", "x"]), pruning=True)
-        finals = {items for items, _ in final_states(result)}
+        _result, schedules = explore_schedules(initial, specs_for(["x", "x"]), pruning=True)
+        finals = {items for items, _ in final_states(schedules)}
         assert (("x", 1),) in finals  # the lost update
         assert (("x", 2),) in finals  # the serial outcome
 
     def test_serializable_commits_never_lose_an_update(self):
         initial = DbState(items={"x": 0})
         specs = specs_for(["x", "x"], level="SERIALIZABLE")
-        result = explore(initial, specs, pruning=True, max_schedules=50)
+        _result, schedules = explore_schedules(initial, specs, pruning=True, max_schedules=50)
         # an instance may still die to deadlock restarts — but whenever both
         # commit, the outcome must be the serial one
         both = {
             items
-            for items, committed in final_states(result)
+            for items, committed in final_states(schedules)
             if committed == ("T0", "T1")
         }
         assert both == {(("x", 2),)}
@@ -143,12 +149,14 @@ class TestBounds:
         """One transaction has one interleaving — no pruning, no miscounts."""
         initial = DbState(items={"x": 0})
         for pruning in (False, True):
-            result = explore(initial.copy(), specs_for(["x"]), pruning=pruning)
+            result, schedules = explore_schedules(
+                initial.copy(), specs_for(["x"]), pruning=pruning
+            )
             assert result.schedules == 1
             assert result.runs == 1
             assert result.pruned_sleep == 0
             assert not result.truncated and result.truncated_depth == 0
-            (finals,) = final_states(result)
+            (finals,) = final_states(schedules)
             assert finals == ((("x", 1),), ("T0",))
 
 
@@ -166,9 +174,9 @@ class TestDeterminism:
         levels = {spec.txn_type.name: "READ UNCOMMITTED" for spec in scenario.specs({})}
 
         def run():
-            result = explore(scenario.initial(), scenario.specs(levels))
+            result, schedules = explore_schedules(scenario.initial(), scenario.specs(levels))
             violations = []
-            for schedule in result.results:
+            for schedule in schedules:
                 report = check_semantic_correctness(
                     schedule, scenario.invariant, scenario.cumulative
                 )
@@ -194,8 +202,14 @@ class TestObservers:
         def observer(simulator, runtime):
             seen.append(runtime.spec.name)
 
-        explorer = Explorer(DbState(items={"x": 0}), specs_for(["x", "x"]), pruning=True)
-        for schedule in explorer.run().results:
+        schedules = []
+        explorer = Explorer(
+            DbState(items={"x": 0}), specs_for(["x", "x"]), pruning=True,
+            on_schedule=schedules.append,
+        )
+        explorer.run()
+        assert schedules
+        for schedule in schedules:
             seen.clear()
             replayed = explorer.replay(schedule, [observer])
             assert replayed.script == schedule.script

@@ -1,11 +1,14 @@
 """Unit tests for the conflict-serializability checker."""
 
+import random
+
 import pytest
 
 from repro.core.program import Read, TransactionType, Write
 from repro.core.state import DbState
 from repro.core.terms import Item, Local
-from repro.sched.serializability import check_conflict_serializability
+from repro.engine.deadlock import find_cycle
+from repro.sched.serializability import _topological_order, check_conflict_serializability
 from repro.sched.simulator import InstanceSpec, Simulator
 
 
@@ -83,3 +86,26 @@ class TestNonSerializable:
         report = check_conflict_serializability(result)
         # only B committed; a single transaction is trivially serializable
         assert report.serializable
+
+
+def test_cycle_and_serial_order_match_networkx():
+    """Random precedence graphs: the same cycle, or the same Kahn order."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(11)
+    for _trial in range(300):
+        nodes = rng.sample(range(10), rng.randint(1, 7))
+        graph = {node: {} for node in nodes}
+        reference = nx.DiGraph()
+        reference.add_nodes_from(nodes)
+        for _edge in range(rng.randint(0, 10)):
+            a, b = rng.choice(nodes), rng.choice(nodes)
+            if a != b:
+                graph[a][b] = None
+                reference.add_edge(a, b)
+        try:
+            expected = [edge[0] for edge in nx.find_cycle(reference)]
+        except nx.NetworkXNoCycle:
+            expected = None
+        assert find_cycle(graph) == expected
+        if expected is None:
+            assert _topological_order(graph) == list(nx.topological_sort(reference))

@@ -359,30 +359,51 @@ class TestRemovedFanOutFlags:
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_cold_cli_import_leaves_multiprocessing_out(self):
-        """No in-run executor means the cold CLI path never imports
-        multiprocessing (it cost 15-22 ms of every cold start)."""
+    @staticmethod
+    def _fresh_import_check(code: str) -> None:
+        """Run ``code`` in a fresh interpreter over this checkout's ``src``."""
         import subprocess
         import sys
         import textwrap
         from pathlib import Path
 
-        code = textwrap.dedent(
+        root = Path(__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(code)],
+            capture_output=True,
+            text=True,
+            env={
+                "PYTHONPATH": str(root / "src"),
+                "PATH": "/usr/bin:/bin",
+                "PYTHONDONTWRITEBYTECODE": "1",
+            },
+            cwd=root,
+        )
+        assert result.returncode == 0, result.stderr
+
+    def test_cold_cli_import_leaves_multiprocessing_out(self):
+        """No in-run executor means the cold CLI path never imports
+        multiprocessing (it cost 15-22 ms of every cold start)."""
+        self._fresh_import_check(
             """
             import sys
             import repro.cli, repro.pipeline.jobs, repro.core.interference
             assert "multiprocessing" not in sys.modules, "multiprocessing imported"
             """
         )
-        root = Path(__file__).resolve().parents[1]
-        result = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env={"PYTHONPATH": str(root / "src"), "PATH": "/usr/bin:/bin"},
-            cwd=root,
+
+    def test_cold_cli_import_leaves_networkx_out(self):
+        """The waits-for and precedence graphs are plain dicts, so neither
+        the CLI nor the simulator behind it imports networkx (it cost
+        ~125 ms of every cold start)."""
+        self._fresh_import_check(
+            """
+            import sys
+            import repro.cli, repro.pipeline.jobs, repro.core.interference
+            import repro.sched.simulator, repro.sched.serializability
+            assert "networkx" not in sys.modules, "networkx imported"
+            """
         )
-        assert result.returncode == 0, result.stderr
 
 
 class TestCompactCommand:

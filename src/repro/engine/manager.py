@@ -99,6 +99,9 @@ class Engine:
         #: identical across modes (the CI vacuum-correctness smoke).
         self.vacuum_mode = vacuum
         self._commits_since_vacuum = 0
+        #: the committed view and the store epoch it was materialised at
+        self._committed_view: DbState | None = None
+        self._committed_view_epoch = -1
 
     # -- lifecycle -----------------------------------------------------------
     def begin(self, level: str) -> Txn:
@@ -624,7 +627,19 @@ class Engine:
         return self.store.public_state(committed_only=False)
 
     def committed_state(self) -> DbState:
-        return self.store.public_state(committed_only=True)
+        """The committed view, materialised again only after it changes.
+
+        The returned state is engine-owned and read-only: the same object
+        comes back until the committed view changes (a commit, or an
+        insert that adds a table; reads, dirty writes, aborts and vacuum
+        leave it alone), so a caller that wants to modify it takes a
+        :meth:`~DbState.copy` first.
+        """
+        epoch = self.store.committed_epoch
+        if epoch != self._committed_view_epoch:
+            self._committed_view = self.store.public_state(committed_only=True)
+            self._committed_view_epoch = epoch
+        return self._committed_view
 
     def live_state(self) -> DbState:
         return self.store.public_state(committed_only=False)

@@ -248,6 +248,9 @@ class MvccStore:
         self._live_order: dict = {}
         #: chains touched since the last vacuum pass
         self._vacuum_pending: set = set()
+        #: bumped whenever the committed view changes: at every commit,
+        #: and when an insert adds a table (the view lists every table)
+        self.committed_epoch = 0
         self.stats = STORAGE_STATS
 
     @classmethod
@@ -430,7 +433,10 @@ class MvccStore:
         self._vacuum_pending.add(("record", array, index))
 
     def stamp_insert(self, xid: int, table: str, rid: int, image: Mapping) -> None:
-        chains = self.tables.setdefault(table, {})
+        chains = self.tables.get(table)
+        if chains is None:
+            chains = self.tables[table] = {}
+            self.committed_epoch += 1
         if rid in chains:
             raise EngineError(f"row {rid} already exists in {table}")
         chains[rid] = Chain([Version(dict(image), xid)])
@@ -487,6 +493,7 @@ class MvccStore:
         matching the old redo-log reflection byte for byte).
         """
         self.clog.commit(xid)
+        self.committed_epoch += 1
         for entry in stamped:
             kind = entry[0]
             if kind == "item":

@@ -5,8 +5,11 @@ enumeration with *race reversal* (Flanagan & Godefroid's DPOR, with the
 source-set refinement of Abdulla et al., specialised to transaction
 isolation levels after Bouajjani, Enea & Román-Calvo): after each run,
 this module derives per-step access sets from the engine's own history,
-computes happens-before as vector clocks, finds the *immediate* races —
-dependent step pairs with no happens-before path between them — and
+indexes them per granule and access kind (one read/write/probe bitmask
+triple per granule, so each step finds the earlier steps it depends on
+without a pairwise scan), closes that dependence with program order into
+happens-before bitmasks, finds the *immediate* races — dependent step
+pairs with no happens-before path between them — and
 reports, per race, the decision depth to revisit plus the instances whose
 scheduling there can realise the reversed trace (the source set).  Only
 those reversals are explored; schedules that merely commute independent
@@ -61,13 +64,7 @@ from typing import Sequence
 from repro.core.program import Delete, Insert, Update
 from repro.core.state import DbState
 from repro.core.terms import Field, Item
-from repro.sched.policy import (
-    DEPENDENT,
-    ORDER_GRANULE,
-    StepRecord,
-    _resource,
-    happens_before,
-)
+from repro.sched.policy import DEPENDENT, ORDER_GRANULE, StepRecord, _resource
 
 #: Wildcard granule: conflicts with every other granule.  Used for the
 #: rare steps whose exact footprint is not worth deriving (FCW/guard-veto
@@ -130,6 +127,80 @@ def _sets_conflict(writes, footprint) -> bool:
             if _granules_conflict(granule, other):
                 return True
     return False
+
+
+def _footprints_meet(footprints: dict, a, b) -> bool:
+    """Commit/commit dependence: one transaction's writes meet the other's
+    full run footprint (``(reads, writes)`` per transaction)."""
+    reads_a, writes_a = footprints.get(a, (frozenset(), frozenset()))
+    reads_b, writes_b = footprints.get(b, (frozenset(), frozenset()))
+    return _sets_conflict(writes_a, reads_b | writes_b) or _sets_conflict(
+        writes_b, reads_a | writes_a
+    )
+
+
+#: Mask slot of each access kind, and the slots each kind conflicts with
+#: (:func:`_kinds_conflict`'s matrix): a read hits writes and probes, a
+#: write hits everything, a probe hits reads and writes.
+_SLOT = {False: 0, True: 1, PROBE: 2}
+_HITS = ((1, 2), (0, 1, 2), (0, 1))
+
+
+class _GranuleIndex:
+    """Step bitmasks per granule and access kind, for one run.
+
+    Answers "which earlier steps conflict with this access set?" by
+    :func:`_access_conflict`'s rule without a pairwise scan: exact
+    granules, every record granule of an array (what a coarse
+    ``("record", a, None)`` granule meets), the coarse granules of an
+    array (what an exact record granule meets besides itself),
+    :data:`ANY_GRANULE` accesses, and all accesses (what
+    :data:`ANY_GRANULE` meets) each keep a read/write/probe mask triple.
+    """
+
+    def __init__(self) -> None:
+        self.exact: dict = {}
+        self.arrays: dict = {}
+        self.coarse: dict = {}
+        self.wild = [0, 0, 0]
+        self.every = [0, 0, 0]
+
+    def conflicts(self, acc) -> int:
+        """Bits of the indexed steps that conflict with ``acc``."""
+        dep = 0
+        for granule, kind in acc:
+            hits = _HITS[_SLOT[kind]]
+            if granule == ANY_GRANULE:
+                sources = (self.every,)
+            else:
+                sources = [self.wild]
+                masks = self.exact.get(granule)
+                if masks is not None:
+                    sources.append(masks)
+                if granule[0] == "record":
+                    table = self.arrays if granule[2] is None else self.coarse
+                    masks = table.get(granule[1])
+                    if masks is not None:
+                        sources.append(masks)
+            for masks in sources:
+                for slot in hits:
+                    dep |= masks[slot]
+        return dep
+
+    def add(self, acc, step: int) -> None:
+        """Index step number ``step`` under every access of ``acc``."""
+        bit = 1 << step
+        for granule, kind in acc:
+            slot = _SLOT[kind]
+            self.every[slot] |= bit
+            if granule == ANY_GRANULE:
+                self.wild[slot] |= bit
+                continue
+            self.exact.setdefault(granule, [0, 0, 0])[slot] |= bit
+            if granule[0] == "record":
+                self.arrays.setdefault(granule[1], [0, 0, 0])[slot] |= bit
+                if granule[2] is None:
+                    self.coarse.setdefault(granule[1], [0, 0, 0])[slot] |= bit
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +450,18 @@ class RaceAnalyzer:
 
     # -- race detection -----------------------------------------------------
     def analyze(self, steps: Sequence) -> list:
-        """Immediate races of one recorded run, as :class:`Race` items."""
+        """Immediate races of one recorded run, as :class:`Race` items.
+
+        One forward pass.  ``dep[j]`` (the earlier steps of other
+        instances dependent with step ``j``) is read off the granule
+        index, and ``pred[j]`` is its happens-before closure with program
+        order.  Because ``pred`` is transitively closed, the steps that
+        order a dependent pair ``(i, j)`` through an intermediate step
+        are exactly ``covered = ∪ pred[k]`` over ``j``'s direct
+        predecessors ``k``, so the pair is an immediate race iff bit
+        ``i`` is not in ``covered``.  Races come out ``j`` ascending, then
+        ``i`` ascending.
+        """
         n = len(steps)
         if n < 2:
             return []
@@ -392,48 +474,67 @@ class RaceAnalyzer:
             for record in steps
             for op in record.ops
         )
-        accs = [self.step_accesses(record, levels, order_begins) for record in steps]
         footprints = self._txn_footprints(steps)
-        commit_of = [self._commit_txn(record) for record in steps]
-
-        def dependent(i: int, j: int) -> bool:
-            a, b = commit_of[i], commit_of[j]
-            if a is not None and b is not None:
-                # commit order is observable through the semantic checker's
-                # serial replay whenever the transactions touch each other
-                reads_a, writes_a = footprints.get(a, (frozenset(), frozenset()))
-                reads_b, writes_b = footprints.get(b, (frozenset(), frozenset()))
-                return _sets_conflict(writes_a, reads_b | writes_b) or _sets_conflict(
-                    writes_b, reads_a | writes_a
-                )
-            return _access_conflict(accs[i], accs[j])
-
-        pred = happens_before(steps, dependent)
+        index = _GranuleIndex()
+        commit_steps: list = []  # (step, txn) of the commits so far
+        commit_mask = 0
+        instance_mask: dict = {}  # instance -> bits of its steps so far
+        pred = [0] * n
         races: list = []
-        for j in range(n):
-            for i in range(j):
-                if steps[i].index == steps[j].index:
-                    continue
-                if not dependent(i, j):
-                    continue
-                if any(
-                    (pred[k] >> i) & 1 and (pred[j] >> k) & 1 for k in range(i + 1, j)
-                ):
-                    continue  # not immediate: an intermediate step orders them
+        for j, record in enumerate(steps):
+            acc = self.step_accesses(record, levels, order_begins)
+            dep = index.conflicts(acc)
+            txn = self._commit_txn(record)
+            if txn is not None:
+                # commit order is observable through the semantic checker's
+                # serial replay whenever the transactions touch each other:
+                # the footprint rule replaces the access rule between commits
+                dep &= ~commit_mask
+                for i, other in commit_steps:
+                    if _footprints_meet(footprints, other, txn):
+                        dep |= 1 << i
+                commit_steps.append((j, txn))
+                commit_mask |= 1 << j
+            own = instance_mask.get(record.index, 0)
+            dep &= ~own
+            index.add(acc, j)
+            instance_mask[record.index] = own | (1 << j)
+            covered = 0
+            direct = dep
+            if own:  # the program-order predecessor is own's highest bit
+                prev = own.bit_length() - 1
+                covered = pred[prev]
+                direct |= 1 << prev
+            # union the predecessors' closures, highest first: a step
+            # already covered brings nothing new (its closure is inside)
+            rest = dep
+            while rest:
+                i = rest.bit_length() - 1
+                rest ^= 1 << i
+                if not (covered >> i) & 1:
+                    covered |= pred[i]
+            pred[j] = covered | direct
+            racing = dep & ~covered
+            while racing:
+                low = racing & -racing
+                racing ^= low
+                i = low.bit_length() - 1
                 # source set: the initials of notdep(i) . j — the steps after
                 # i that are not causally behind it, restricted to the ones
                 # nothing else in that suffix precedes
-                suffix = [k for k in range(i + 1, j) if not (pred[k] >> i) & 1]
-                suffix.append(j)
+                suffix = 1 << j
+                for k in range(i + 1, j):
+                    if not (pred[k] >> i) & 1:
+                        suffix |= 1 << k
                 initials = set()
-                for k in suffix:
-                    if not any((pred[k] >> m) & 1 for m in suffix if m < k):
+                for k in range(i + 1, j + 1):
+                    if (suffix >> k) & 1 and not pred[k] & suffix:
                         initials.add(steps[k].index)
                 races.append(
                     Race(
                         depth=steps[i].depth,
                         initials=frozenset(initials),
-                        preferred=steps[j].index,
+                        preferred=record.index,
                     )
                 )
         return races

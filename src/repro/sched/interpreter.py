@@ -197,4 +197,10 @@ def steps(
             else:
                 raise ProgramError(f"unknown statement kind {stmt!r}")
 
-    yield from run(txn_type.body)
+    try:
+        yield from run(txn_type.body)
+    finally:
+        # ``run`` reaches itself through its closure cell; unbinding it
+        # breaks that cycle, so a finished or abandoned run frees its
+        # engine by reference counting instead of at the next cyclic GC
+        run = None

@@ -121,7 +121,7 @@ def _resource(key: tuple):
 
 
 # ---------------------------------------------------------------------------
-# step records and happens-before (the DPOR substrate)
+# step records (the DPOR substrate)
 # ---------------------------------------------------------------------------
 
 
@@ -141,33 +141,6 @@ class StepRecord:
     level: str
     ops: tuple
     blocked_on: tuple | None = None
-
-
-def happens_before(steps: Sequence, dependent) -> list:
-    """Vector clocks over a run's steps, as predecessor bitmasks.
-
-    ``pred[j]`` has bit ``i`` set iff step ``i`` happens-before step ``j``
-    — the transitive closure of program order (same instance) and the
-    ``dependent(i, j)`` relation on step pairs.  The invariant that makes
-    one ascending pass sufficient: whenever bit ``i`` enters a mask,
-    ``pred[i]`` enters with it.
-    """
-    n = len(steps)
-    pred = [0] * n
-    last_of: dict = {}
-    for j in range(n):
-        mask = 0
-        prev = last_of.get(steps[j].index)
-        if prev is not None:
-            mask |= pred[prev] | (1 << prev)
-        for i in range(j):
-            if (mask >> i) & 1:
-                continue  # already a predecessor (with pred[i] merged)
-            if steps[i].index != steps[j].index and dependent(i, j):
-                mask |= pred[i] | (1 << i)
-        pred[j] = mask
-        last_of[steps[j].index] = j
-    return pred
 
 
 # ---------------------------------------------------------------------------

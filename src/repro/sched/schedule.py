@@ -20,7 +20,9 @@ class InstanceOutcome:
     txn_ids: list = field(default_factory=list)  # engine ids across restarts
     env: dict = field(default_factory=dict)
     commit_tick: int | None = None
-    committed_state: DbState | None = None  # committed state right after commit
+    # committed state right after commit; the engine's read-only view
+    # (see Engine.committed_state), possibly shared with ScheduleResult.final
+    committed_state: DbState | None = None
     restarts: int = 0
     abort_reasons: list = field(default_factory=list)
 
@@ -34,7 +36,7 @@ class ScheduleResult:
     """Outcome of one simulated interleaving."""
 
     initial: DbState
-    final: DbState
+    final: DbState  # the engine's read-only committed view at the end
     outcomes: list = field(default_factory=list)
     history: list = field(default_factory=list)  # engine HistoryOps
     stats: dict = field(default_factory=dict)

@@ -8,12 +8,16 @@ from repro.engine.manager import HistoryOp
 from repro.sched.dpor import (
     ANY_GRANULE,
     PROBE,
+    Race,
     RaceAnalyzer,
+    _access_conflict,
+    _footprints_meet,
+    _sets_conflict,
     accesses_conflict,
     may_deadlock,
     static_footprint,
 )
-from repro.sched.policy import DEPENDENT, ORDER_GRANULE, StepRecord, happens_before
+from repro.sched.policy import DEPENDENT, ORDER_GRANULE, StepRecord
 from repro.sched.simulator import InstanceSpec
 
 
@@ -263,22 +267,54 @@ class TestStepAccesses:
         assert acc == frozenset({(("item", "x"), PROBE)})
 
 
-class TestHappensBefore:
-    def test_program_order_is_always_inside(self):
-        steps = [step(0, 0), step(1, 0)]
-        pred = happens_before(steps, lambda i, j: False)
-        assert pred[1] & 1  # step 0 precedes step 1
+class TestHappensBeforeShielding:
+    """Happens-before as the race analysis sees it: only immediate races."""
 
-    def test_dependence_is_transitively_closed(self):
-        steps = [step(0, 0), step(1, 1), step(2, 2)]
-        dependent = lambda i, j: (i, j) in {(0, 1), (1, 2)}
-        pred = happens_before(steps, dependent)
-        assert pred[2] & 0b011 == 0b011  # both 0 and 1 precede 2
+    def _analyzer(self, count=3):
+        return RaceAnalyzer(
+            [
+                InstanceSpec(incrementer("x"), {}, "READ COMMITTED", f"T{i}")
+                for i in range(count)
+            ]
+        )
 
-    def test_independent_steps_stay_unordered(self):
-        steps = [step(0, 0), step(1, 1)]
-        pred = happens_before(steps, lambda i, j: False)
-        assert pred[1] & 1 == 0
+    def test_pair_ordered_through_an_intermediate_step_is_not_a_race(self):
+        # 0 -> 1 on x, 1 -> 2 on y: (0, 2) conflict on x but 1 orders them
+        steps = [
+            step(0, 0, [op("w", txn_id=1, key=("item", "x"))], txn_id=1),
+            step(
+                1,
+                1,
+                [op("r", txn_id=2, key=("item", "x")), op("w", txn_id=2, key=("item", "y"))],
+                txn_id=2,
+            ),
+            step(
+                2,
+                2,
+                [op("r", txn_id=3, key=("item", "x")), op("r", txn_id=3, key=("item", "y"))],
+                txn_id=3,
+            ),
+        ]
+        races = self._analyzer().analyze(steps)
+        assert [(race.depth, race.preferred) for race in races] == [(0, 1), (1, 2)]
+
+    def test_program_order_shields(self):
+        # 0 -> 1 on x, then 1 -> 2 by program order: (0, 2) is not immediate
+        steps = [
+            step(0, 0, [op("w", txn_id=1, key=("item", "x"))], txn_id=1),
+            step(1, 1, [op("r", txn_id=2, key=("item", "x"))], txn_id=2),
+            step(2, 1, [op("r", txn_id=2, key=("item", "x"))], txn_id=2),
+        ]
+        races = self._analyzer(2).analyze(steps)
+        assert [(race.depth, race.preferred) for race in races] == [(0, 1)]
+
+    def test_independent_steps_of_different_instances_do_not_race(self):
+        steps = [
+            step(0, 0, [op("r", txn_id=1, key=("item", "x"))], txn_id=1),
+            step(1, 1, [op("r", txn_id=2, key=("item", "x"))], txn_id=2),
+            step(2, 2, [op("w", txn_id=3, key=("item", "y"))], txn_id=3),
+        ]
+        assert self._analyzer().analyze(steps) == []
 
 
 class TestRaceDetection:
@@ -356,3 +392,231 @@ class TestRaceDetection:
         ]
         races = analyzer.analyze(steps)
         assert len(races) == 1
+
+
+# ---------------------------------------------------------------------------
+# differential: the granule-indexed analysis against the pairwise one
+# ---------------------------------------------------------------------------
+
+
+def _reference_happens_before(steps, dependent) -> list:
+    """Pairwise happens-before bitmasks: the reference for the one-pass closure."""
+    n = len(steps)
+    pred = [0] * n
+    last_of: dict = {}
+    for j in range(n):
+        mask = 0
+        prev = last_of.get(steps[j].index)
+        if prev is not None:
+            mask |= pred[prev] | (1 << prev)
+        for i in range(j):
+            if (mask >> i) & 1:
+                continue  # already a predecessor (with pred[i] merged)
+            if steps[i].index != steps[j].index and dependent(i, j):
+                mask |= pred[i] | (1 << i)
+        pred[j] = mask
+        last_of[steps[j].index] = j
+    return pred
+
+
+def _reference_analyze(analyzer, steps) -> list:
+    """The pairwise race analysis: every step pair through ``dependent``."""
+    n = len(steps)
+    if n < 2:
+        return []
+    levels = {}
+    for record in steps:
+        if record.txn_id is not None:
+            levels[record.txn_id] = record.level
+    order_begins = any(
+        op.kind == "abort" and op.info.get("reason") == "deadlock victim"
+        for record in steps
+        for op in record.ops
+    )
+    accs = [analyzer.step_accesses(record, levels, order_begins) for record in steps]
+    footprints = analyzer._txn_footprints(steps)
+    commit_of = [analyzer._commit_txn(record) for record in steps]
+
+    def dependent(i: int, j: int) -> bool:
+        a, b = commit_of[i], commit_of[j]
+        if a is not None and b is not None:
+            reads_a, writes_a = footprints.get(a, (frozenset(), frozenset()))
+            reads_b, writes_b = footprints.get(b, (frozenset(), frozenset()))
+            return _sets_conflict(writes_a, reads_b | writes_b) or _sets_conflict(
+                writes_b, reads_a | writes_a
+            )
+        return _access_conflict(accs[i], accs[j])
+
+    pred = _reference_happens_before(steps, dependent)
+    races: list = []
+    for j in range(n):
+        for i in range(j):
+            if steps[i].index == steps[j].index:
+                continue
+            if not dependent(i, j):
+                continue
+            if any((pred[k] >> i) & 1 and (pred[j] >> k) & 1 for k in range(i + 1, j)):
+                continue  # not immediate: an intermediate step orders them
+            suffix = [k for k in range(i + 1, j) if not (pred[k] >> i) & 1]
+            suffix.append(j)
+            initials = set()
+            for k in suffix:
+                if not any((pred[k] >> m) & 1 for m in suffix if m < k):
+                    initials.add(steps[k].index)
+            races.append(
+                Race(depth=steps[i].depth, initials=frozenset(initials), preferred=steps[j].index)
+            )
+    return races
+
+
+_KEYS = (
+    ("item", "x"),
+    ("item", "y"),
+    ("record", "acct", 0),
+    ("record", "acct", 1),
+    ("record", "acct", None),
+    ("record", "acct_sav", 0),
+    ("record", "acct_ch", 0),
+    ("row", "T", 1),
+    ("table", "T"),
+)
+_LEVELS = ("SNAPSHOT", "READ COMMITTED", "SERIALIZABLE", "READ UNCOMMITTED")
+_REASONS = (
+    "first-committer-wins on ('item', 'x')",
+    "guard veto",
+    "deadlock victim",
+    "explicit",
+)
+
+
+def _random_run(rng, instances: int) -> list:
+    """A random recorded run: begins, data ops, commits, aborts, probes."""
+    levels = [rng.choice(_LEVELS) for _ in range(instances)]
+    txn_of = [None] * instances
+    next_txn = 1
+    steps = []
+    for depth in range(rng.randint(2, 16)):
+        index = rng.randrange(instances)
+        if txn_of[index] is None or rng.random() < 0.1:  # start or restart
+            txn_of[index] = next_txn
+            next_txn += 1
+        txn = txn_of[index]
+        shape = rng.choice(("begin", "data", "data", "commit", "abort", "blocked", "empty"))
+        keys = lambda: [rng.choice(_KEYS) for _ in range(rng.randint(0, 2))]
+        ops, blocked_on = [], None
+        if shape == "begin":
+            ops.append(op("begin", txn_id=txn))
+        elif shape == "data":
+            for _ in range(rng.randint(1, 2)):
+                kind = rng.choice(("r", "r", "w", "ins", "upd", "del"))
+                key = rng.choice(_KEYS + (None,))
+                ops.append(op(kind, txn_id=txn, key=key))
+            if rng.random() < 0.1:
+                blocked_on = (rng.choice(_KEYS + (None,)), "X")
+        elif shape == "commit":
+            # a commit step may carry accesses its transaction's run
+            # footprint lacks: a begin's ghost reads, a keyless op, a probe
+            if rng.random() < 0.3:
+                ops.append(op(rng.choice(("begin", "r", "w")), txn_id=txn, key=None))
+            ops.append(op("commit", txn_id=txn, writes=keys(), reads=keys()))
+            if rng.random() < 0.1:
+                blocked_on = (rng.choice(_KEYS), "X")
+        elif shape == "abort":
+            ops.append(
+                op("abort", txn_id=txn, reason=rng.choice(_REASONS), writes=keys(), reads=keys())
+            )
+        elif shape == "blocked":
+            blocked_on = (rng.choice(_KEYS + (None,)), "X")
+        record = step(depth, index, ops, txn_id=txn, level=levels[index], blocked_on=blocked_on)
+        if rng.random() < 0.05:
+            record.txn_id = None  # a step taken before the instance began
+        steps.append(record)
+    return steps
+
+
+_CASES = (
+    "any-granule",
+    "coarse-vs-exact",
+    "probe/probe",
+    "probe/read",
+    "probe/write",
+    "snapshot-begin-ordered",
+    "snapshot-begin-unordered",
+    "fcw-abort",
+    "guard-veto-abort",
+    "deadlock-victim-abort",
+    "commit-footprints-only",
+)
+
+
+def _cases(analyzer, steps) -> set:
+    """Which of :data:`_CASES` one run exercises."""
+    levels = {r.txn_id: r.level for r in steps if r.txn_id is not None}
+    reasons = [op.info.get("reason", "") for r in steps for op in r.ops if op.kind == "abort"]
+    order_begins = "deadlock victim" in reasons
+    accs = [analyzer.step_accesses(r, levels, order_begins) for r in steps]
+    footprints = analyzer._txn_footprints(steps)
+    cases = set()
+    if any(granule == ANY_GRANULE for acc in accs for granule, _kind in acc):
+        cases.add("any-granule")
+    if any(r.level == "SNAPSHOT" and any(op.kind == "begin" for op in r.ops) for r in steps):
+        cases.add("snapshot-begin-ordered" if order_begins else "snapshot-begin-unordered")
+    for reason in reasons:
+        if "first-committer-wins" in reason:
+            cases.add("fcw-abort")
+        elif reason in ("guard veto", "deadlock victim"):
+            cases.add(reason.replace(" ", "-") + "-abort")
+    names = {False: "read", True: "write", PROBE: "probe"}
+    for j in range(len(steps)):
+        for i in range(j):
+            if steps[i].index == steps[j].index:
+                continue
+            for granule, kind in accs[i]:
+                for other, other_kind in accs[j]:
+                    if granule == other and PROBE in (kind, other_kind):
+                        partner = other_kind if kind == PROBE else kind
+                        cases.add("probe/" + names[partner])
+                    if (
+                        granule[0] == other[0] == "record"
+                        and granule[1] == other[1]
+                        and (granule[2] is None) != (other[2] is None)
+                        and (kind or other_kind)
+                    ):
+                        cases.add("coarse-vs-exact")
+            a, b = analyzer._commit_txn(steps[i]), analyzer._commit_txn(steps[j])
+            if (
+                a is not None
+                and b is not None
+                and _footprints_meet(footprints, a, b)
+                and not _access_conflict(accs[i], accs[j])
+            ):
+                cases.add("commit-footprints-only")
+    return cases
+
+
+class TestGranuleIndexDifferential:
+    """The one-pass analysis returns the pairwise one's races, in order."""
+
+    RUNS = 5000
+
+    def _analyzers(self):
+        specs = [
+            InstanceSpec(rw_record("A"), {"i": 0}, "SNAPSHOT", "A"),
+            InstanceSpec(rw_record("B"), {}, "READ COMMITTED", "B"),  # coarse
+            InstanceSpec(banking.WITHDRAW_SAV, {"i": 0, "w": 1}, "SNAPSHOT", "W"),
+            InstanceSpec(incrementer("x"), {}, "SERIALIZABLE", "X"),
+        ]
+        return [RaceAnalyzer(specs), RaceAnalyzer(specs[::-1])]
+
+    def test_races_match_the_pairwise_analysis(self):
+        import random
+
+        rng = random.Random(2026)
+        analyzers = self._analyzers()
+        seen: set = set()
+        for _ in range(self.RUNS):
+            analyzer = rng.choice(analyzers)
+            steps = _random_run(rng, rng.randint(2, 4))
+            assert analyzer.analyze(steps) == _reference_analyze(analyzer, steps), steps
+            seen |= _cases(analyzer, steps)
+        assert seen == set(_CASES), set(_CASES) - seen

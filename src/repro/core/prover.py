@@ -15,7 +15,9 @@ Pipeline for :func:`is_satisfiable`:
    ``UNKNOWN`` unless the formula needed no abstraction;
 2. *negation normal form* with integer ``!=`` split into ``< or >``;
 3. *disjunctive normal form* (capped — oversized formulas yield UNKNOWN),
-   with cubes ordered cheapest-first so a SAT exit is found early;
+   with cubes ordered cheapest-first so a SAT exit is found early; cubes
+   whose literals already bound one term vector with an empty interval
+   are set aside during that search and decided only if no cube is SAT;
 4. each cube is decided by: boolean-literal consistency, a union-find over
    string equalities, and linear-integer reasoning.  Integer cubes are
    decided in pure Python: bounds propagation with integer tightening,
@@ -133,7 +135,8 @@ MEMO_CAP = 200_000
 _term_memo: dict = {}
 _formula_memo: dict = {}
 _query_memo: dict = {}
-#: integer comparison literal -> (constraints, atoms in registration order)
+#: integer comparison literal -> (constraints, atoms in registration order,
+#: interval facts; see :func:`_literal_entry`)
 _literal_memo: dict = {}
 
 _memo_stats = {
@@ -145,6 +148,7 @@ _memo_stats = {
     "cubes_sat": 0,
     "cubes_unsat": 0,
     "cubes_open": 0,  # integer cubes left undecided (UNKNOWN)
+    "cubes_refuted": 0,  # cubes the pre-check skipped while seeking a SAT one
 }
 
 
@@ -152,8 +156,8 @@ def prover_cache_stats() -> dict:
     """Counters and sizes of the prover's memo tables and decision paths.
 
     Includes the simplify/query hit and miss counts, per-table entry counts,
-    derived hit rates, and how many integer cubes came out SAT, UNSAT or
-    undecided.
+    derived hit rates, how many integer cubes came out SAT, UNSAT or
+    undecided, and how many cubes the interval pre-check set aside.
     """
     stats = dict(_memo_stats)
     stats["term_memo_size"] = len(_term_memo)
@@ -573,24 +577,68 @@ class _IntConstraint:
     bound: int
 
 
-def _int_constraints_of_literal(literal: Cmp, variables: dict) -> tuple | None:
-    """Translate an integer comparison into <= / == constraints.
+def _literal_entry(literal: Cmp) -> tuple:
+    """``(constraints, atoms, facts)`` of an integer comparison, memoised.
 
     Memoised on the hash-consed literal: a literal recurs in many cubes
-    and queries, and its translation depends on nothing else.  The cached
-    atoms, in the order :func:`_linearize` first met them, are replayed
-    into ``variables`` so positions match a fresh translation.  The
-    returned constraints are shared and must not be mutated.
+    and queries, and its translation depends on nothing else.  ``atoms``
+    lists the atoms in the order :func:`_linearize` first met them;
+    ``facts`` are the literal's :func:`_interval_facts`.  Entries are
+    shared and must not be mutated.
     """
     cached = _literal_memo.get(literal)
     if cached is None:
         atoms: dict = {}
-        cached = (_translate_literal(literal, atoms), tuple(atoms))
+        constraints = _translate_literal(literal, atoms)
+        cached = (constraints, tuple(atoms), _interval_facts(constraints))
         _memo_put(_literal_memo, literal, cached)
-    constraints, atoms = cached
+    return cached
+
+
+def _int_constraints_of_literal(literal: Cmp, variables: dict) -> tuple | None:
+    """Translate an integer comparison into <= / == constraints.
+
+    The memoised atoms are replayed into ``variables`` so positions match
+    a fresh translation.  None when the literal is nonlinear.
+    """
+    constraints, atoms, _facts = _literal_entry(literal)
     for atom in atoms:
         variables.setdefault(atom, len(variables))
     return constraints
+
+
+def _interval_facts(constraints: Sequence[_IntConstraint] | None) -> tuple | None:
+    """``(key, low, high)`` facts that every integer model of ``constraints`` meets.
+
+    Each row with a variable is divided by the gcd of its coefficients,
+    flooring the bound as :func:`_add_row` does, and signed so that its
+    first coefficient in term-fingerprint order is positive: ``key`` is
+    that coefficient vector, so ``v`` and ``-v`` share it, and ``key . x``
+    lies in ``[low, high]`` (``±inf`` where unbounded).  None when the
+    constraints alone have no integer model: an equality whose bound the
+    gcd does not divide, or a ground row that fails.
+    """
+    if constraints is None:
+        return ()
+    facts = []
+    for constraint in constraints:
+        coeffs, bound, equality = constraint.coeffs, constraint.bound, constraint.rel == "=="
+        if not coeffs:
+            if bound < 0 or (equality and bound):
+                return None
+            continue
+        divisor = math.gcd(*coeffs.values())
+        if equality and bound % divisor:
+            return None
+        items = sorted(coeffs.items(), key=lambda item: item[0].fingerprint())
+        sign = 1 if items[0][1] > 0 else -1
+        key = tuple((var, sign * coeff // divisor) for var, coeff in items)
+        high = bound // divisor
+        low = high if equality else -math.inf
+        if sign < 0:
+            low, high = -high, -low
+        facts.append((key, low, high))
+    return tuple(facts)
 
 
 def _translate_literal(literal: Cmp, variables: dict) -> tuple | None:
@@ -941,6 +989,49 @@ def _solve_string_literals(equalities: list, disequalities: list):
     return Verdict.SAT, model
 
 
+# Literal kinds of :func:`_classify`.
+_BOOL, _INT, _STR_EQ, _STR_NEQ, _TRUE, _FALSE, _OPEN = range(7)
+
+
+def _classify(literal: Formula) -> tuple:
+    """How a cube treats one literal, as ``(kind, a, b)``.
+
+    ``_BOOL``: the bool term ``a`` takes the value ``b`` (a bool atom, or
+    a ``b == true``-style comparison); ``_INT``: the integer comparison
+    ``a``; ``_STR_EQ`` / ``_STR_NEQ``: string terms ``a`` and ``b`` are
+    equal / distinct; ``_TRUE`` / ``_FALSE``: a constant; ``_OPEN``: a
+    shape the solver does not support, which leaves the cube undecided.
+    """
+    base = literal
+    polarity = True
+    if isinstance(base, Not):
+        base = base.operand
+        polarity = False
+    if isinstance(base, BoolAtom):
+        term = base.term
+        if isinstance(term, BoolConst):
+            return (_TRUE if term.value == polarity else _FALSE), None, None
+        return _BOOL, term, polarity
+    if not isinstance(base, Cmp):
+        return _OPEN, None, None
+    if not polarity:
+        base = base.negated()
+    left, right, op = base.left, base.right, base.op
+    if left.sort == "str" or right.sort == "str":
+        if op == "==":
+            return _STR_EQ, left, right
+        if op == "!=":
+            return _STR_NEQ, left, right
+        return _OPEN, None, None
+    if left.sort == "bool" or right.sort == "bool":
+        if isinstance(left, BoolConst) and not isinstance(right, BoolConst):
+            left, right = right, left
+        if isinstance(right, BoolConst) and op in ("==", "!="):
+            return _BOOL, left, right.value if op == "==" else not right.value
+        return _OPEN, None, None
+    return _INT, base, None
+
+
 def _decide_cube(literals: Sequence[Formula]):
     """Decide a conjunction of literals; returns (verdict, model|None)."""
     int_constraints: list = []
@@ -949,45 +1040,24 @@ def _decide_cube(literals: Sequence[Formula]):
     str_neqs: list = []
     bool_assign: dict = {}
     for literal in literals:
-        base = literal
-        polarity = True
-        if isinstance(base, Not):
-            base = base.operand
-            polarity = False
-        if isinstance(base, BoolAtom):
-            term = base.term
-            if isinstance(term, BoolConst):
-                if term.value != polarity:
-                    return Verdict.UNSAT, None
-                continue
-            if term in bool_assign and bool_assign[term] != polarity:
+        kind, a, b = _classify(literal)
+        if kind == _BOOL:
+            if bool_assign.get(a, b) != b:
                 return Verdict.UNSAT, None
-            bool_assign[term] = polarity
-            continue
-        if isinstance(base, Cmp):
-            if not polarity:
-                base = base.negated()
-            if base.left.sort == "str" or base.right.sort == "str":
-                if base.op == "==":
-                    str_eqs.append((base.left, base.right))
-                elif base.op == "!=":
-                    str_neqs.append((base.left, base.right))
-                else:
-                    return Verdict.UNKNOWN, None
-                continue
-            if base.left.sort == "bool" or base.right.sort == "bool":
-                converted = _bool_equality(base, bool_assign)
-                if converted is False:
-                    return Verdict.UNSAT, None
-                if converted is None:
-                    return Verdict.UNKNOWN, None
-                continue
-            translated = _int_constraints_of_literal(base, variables)
+            bool_assign[a] = b
+        elif kind == _INT:
+            translated = _int_constraints_of_literal(a, variables)
             if translated is None:
                 return Verdict.UNKNOWN, None
             int_constraints.extend(translated)
-            continue
-        return Verdict.UNKNOWN, None
+        elif kind == _STR_EQ:
+            str_eqs.append((a, b))
+        elif kind == _STR_NEQ:
+            str_neqs.append((a, b))
+        elif kind == _FALSE:
+            return Verdict.UNSAT, None
+        elif kind == _OPEN:
+            return Verdict.UNKNOWN, None
 
     str_verdict, str_model = _solve_string_literals(str_eqs, str_neqs)
     if str_verdict == Verdict.UNSAT:
@@ -1005,24 +1075,41 @@ def _decide_cube(literals: Sequence[Formula]):
     return Verdict.SAT, model
 
 
-def _bool_equality(literal: Cmp, bool_assign: dict):
-    """Handle ``b == true``-style comparisons against the bool assignment.
+def _refuted(cube: Sequence[Formula]) -> bool:
+    """Whether the cube's literals already contradict, without solving it.
 
-    Returns True on success, False on contradiction, None when the shape is
-    not supported.
+    Intersects the literals' interval facts (bool atoms as ``p ∈ [b, b]``)
+    key by key, in literal order, and answers True at the first empty
+    interval or self-refuting literal: the cube then has no model, so the
+    solver cannot find it SAT.  Answers False at the first literal that
+    :func:`_decide_cube` would leave undecided, since the solver stops
+    there anyway.
     """
-    left, right, op = literal.left, literal.right, literal.op
-    if isinstance(left, BoolConst) and not isinstance(right, BoolConst):
-        left, right = right, left
-    if isinstance(right, BoolConst):
-        wanted = right.value if op == "==" else not right.value
-        if op not in ("==", "!="):
-            return None
-        if left in bool_assign and bool_assign[left] != wanted:
+    intervals: dict = {}
+    for literal in cube:
+        kind, a, b = _classify(literal)
+        if kind == _INT:
+            constraints, _atoms, facts = _literal_entry(a)
+            if constraints is None:
+                return False
+            if facts is None:
+                return True
+        elif kind == _BOOL:
+            facts = ((a, b, b),)
+        elif kind == _FALSE:
+            return True
+        elif kind == _OPEN:
             return False
-        bool_assign[left] = wanted
-        return True
-    return None
+        else:
+            continue
+        for key, low, high in facts:
+            kept = intervals.get(key)
+            if kept is not None:
+                low, high = max(low, kept[0]), min(high, kept[1])
+                if low > high:
+                    return True
+            intervals[key] = (low, high)
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -1094,8 +1181,15 @@ def _is_satisfiable_impl(formula: Formula, assumptions: tuple) -> ProofResult:
     # small ones early avoids deciding large cubes at all on SAT formulas
     # (verdict-neutral: SAT is any-cube, UNSAT is all-cubes)
     cubes.sort(key=len)
+    # a cube whose literals already contradict has no model, so it can
+    # never be the first SAT cube: set it aside while searching for one
     saw_unknown = False
+    refuted = []
     for cube in cubes:
+        if _refuted(cube):
+            refuted.append(cube)
+            _memo_stats["cubes_refuted"] += 1
+            continue
         verdict, model = _decide_cube(cube)
         if verdict == Verdict.SAT:
             if opacifier.used:
@@ -1108,7 +1202,10 @@ def _is_satisfiable_impl(formula: Formula, assumptions: tuple) -> ProofResult:
             return ProofResult(Verdict.SAT, model=model)
         if verdict == Verdict.UNKNOWN:
             saw_unknown = True
-    if saw_unknown:
+    # no cube is SAT: the set-aside cubes still decide UNSAT against
+    # "some cubes undecided", as the solver may leave one of them open
+    # (say, at the FAST_FM_ROWS cap) where the pre-check refutes it
+    if saw_unknown or any(_decide_cube(cube)[0] == Verdict.UNKNOWN for cube in refuted):
         return ProofResult(Verdict.UNKNOWN, reason="some cubes undecided")
     return ProofResult(Verdict.UNSAT, abstracted=opacifier.used)
 

@@ -107,7 +107,8 @@ def analysis_stats_table(checker) -> str:
     )
     lines.append(
         f"integer cubes: {prover['cubes_sat']} sat / {prover['cubes_unsat']} unsat"
-        f" / {prover['cubes_open']} undecided"
+        f" / {prover['cubes_open']} undecided,"
+        f" {prover['cubes_refuted']} set aside by the interval pre-check"
     )
     if cache.persist_hits:
         lines.append(

@@ -411,7 +411,7 @@ class RaceAnalyzer:
             acc.add((ANY_GRANULE if key is None else _resource(key), PROBE))
         return frozenset(acc)
 
-    def online_signature(self, runtime, ops) -> frozenset:
+    def online_signature(self, runtime, ops, record=None) -> frozenset:
         """Level-aware access signature of one just-executed step.
 
         The explorer's sleep-set signature: a commit or abort carries only
@@ -419,17 +419,22 @@ class RaceAnalyzer:
         siblings that touch them.  Conservative where the run-wide
         context is unknown: begins always carry the ordering granule (a
         later deadlock could make begin order observable) and aborted
-        transactions of other instances are assumed non-SNAPSHOT.
+        transactions of other instances are assumed non-SNAPSHOT.  When
+        the caller passes the step's ``record``, the access set is kept on
+        it (before the commit and empty-set adjustments below) for
+        :meth:`analyze` to reuse.
         """
-        record = StepRecord(
-            depth=-1,
-            index=runtime.index,
-            txn_id=runtime.txn.txn_id if runtime.txn is not None else None,
-            level=runtime.spec.level,
-            ops=tuple(ops),
-            blocked_on=runtime.last_block if runtime.blocked else None,
-        )
+        if record is None:
+            record = StepRecord(
+                depth=-1,
+                index=runtime.index,
+                txn_id=runtime.txn.txn_id if runtime.txn is not None else None,
+                level=runtime.spec.level,
+                ops=tuple(ops),
+                blocked_on=runtime.last_block if runtime.blocked else None,
+            )
         acc = self.step_accesses(record, {}, self.may_deadlock)
+        record.accesses = acc
         if any(op.kind == "commit" for op in record.ops):
             # commit order between two transactions is observable through
             # the semantic checker's serial replay whenever one's writes
@@ -474,6 +479,7 @@ class RaceAnalyzer:
             for record in steps
             for op in record.ops
         )
+        begins_agree = order_begins == self.may_deadlock
         footprints = self._txn_footprints(steps)
         index = _GranuleIndex()
         commit_steps: list = []  # (step, txn) of the commits so far
@@ -482,7 +488,14 @@ class RaceAnalyzer:
         pred = [0] * n
         races: list = []
         for j, record in enumerate(steps):
-            acc = self.step_accesses(record, levels, order_begins)
+            # the online access set was taken with no levels (read only by
+            # aborts) and may_deadlock for order_begins (read only by begins)
+            acc = record.accesses
+            if acc is None or any(
+                op.kind == "abort" or (op.kind == "begin" and not begins_agree)
+                for op in record.ops
+            ):
+                acc = self.step_accesses(record, levels, order_begins)
             dep = index.conflicts(acc)
             txn = self._commit_txn(record)
             if txn is not None:

@@ -132,7 +132,10 @@ class StepRecord:
     ``ops`` is the slice of engine history the step produced (possibly
     empty for a blocked attempt or a pure interpreter advance);
     ``blocked_on`` is the ``(key, mode)`` of the contested lock when the
-    attempt raised :class:`~repro.engine.locks.WouldBlock`.
+    attempt raised :class:`~repro.engine.locks.WouldBlock`.  ``accesses``
+    is the step's access set as the online signature computed it (see
+    :meth:`~repro.sched.dpor.RaceAnalyzer.online_signature`), kept for
+    the post-run analysis to reuse.
     """
 
     depth: int
@@ -141,6 +144,7 @@ class StepRecord:
     level: str
     ops: tuple
     blocked_on: tuple | None = None
+    accesses: frozenset | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -288,17 +292,16 @@ class ExhaustivePolicy(SchedulePolicy):
                 frame = self.frames[-1]
                 frame.tried.append((frame.choice, DEPENDENT))
             return
-        self.steps.append(
-            StepRecord(
-                depth=depth,
-                index=runtime.index,
-                txn_id=runtime.txn.txn_id if runtime.txn is not None else None,
-                level=runtime.spec.level,
-                ops=tuple(ops),
-                blocked_on=runtime.last_block if runtime.blocked else None,
-            )
+        record = StepRecord(
+            depth=depth,
+            index=runtime.index,
+            txn_id=runtime.txn.txn_id if runtime.txn is not None else None,
+            level=runtime.spec.level,
+            ops=tuple(ops),
+            blocked_on=runtime.last_block if runtime.blocked else None,
         )
-        signature = self.signature_fn(runtime, ops)
+        self.steps.append(record)
+        signature = self.signature_fn(runtime, ops, record)
         if depth == len(self.prefix) - 1:
             # the candidate branch's own first step: seed the live sleep set
             self.candidate_signature = signature

@@ -4,7 +4,8 @@
 with ``_dnf_cubes`` on every formula, overflow included.  The literal memo
 replays a literal's atoms into the cube's variable table, so a warm memo
 must number variables as a fresh translation does, and hence pick the
-models a cold memo picks.
+models a cold memo picks; its interval facts must be a fresh
+translation's too.
 """
 
 import random
@@ -17,6 +18,8 @@ from repro.core.prover import (
     _dnf_cubes,
     _dnf_size,
     _int_constraints_of_literal,
+    _interval_facts,
+    _literal_entry,
     _translate_literal,
     clear_prover_caches,
     is_satisfiable,
@@ -140,3 +143,38 @@ def test_clear_prover_caches_empties_the_literal_memo():
     assert prover_cache_stats()["literal_memo_size"] > 0
     clear_prover_caches()
     assert prover_cache_stats()["literal_memo_size"] == 0
+
+
+def test_refuted_counter_moves_on_a_sat_query_and_resets():
+    # the cube {x < 0, x > 2} sorts first and contradicts; {y > 1, z > 0} is SAT
+    clear_prover_caches()
+    result = is_satisfiable(
+        disj(conj(lt(X, IntConst(0)), gt(X, IntConst(2))), conj(gt(Y, IntConst(1)), gt(Z, IntConst(0))))
+    )
+    assert result.verdict == prover.Verdict.SAT
+    stats = prover_cache_stats()
+    assert stats["cubes_refuted"] == 1
+    assert stats["cubes_sat"] == 1 and stats["cubes_unsat"] == 0
+    clear_prover_caches()
+    assert prover_cache_stats()["cubes_refuted"] == 0
+
+
+def test_warm_literal_memo_gives_the_fresh_facts():
+    W = Item("w")
+    literals = [
+        Cmp("==", X + X, Y + IntConst(3)),  # 2x - y == 3
+        lt(Z - W, IntConst(1)),
+        ge(W - Z, IntConst(4)),  # shares z - w's key with the line above
+        le(IntConst(3) * Y, IntConst(7)),
+        Cmp("==", IntConst(2) * X, IntConst(2) * Y + IntConst(1)),  # refutes itself
+    ]
+    clear_prover_caches()
+    for literal in reversed(literals):
+        _int_constraints_of_literal(literal, {Z: 0})
+    for literal in literals:
+        _constraints, _atoms, facts = _literal_entry(literal)
+        assert facts == _interval_facts(_translate_literal(literal, {}))
+    keys = [facts[0][0] for _c, _a, facts in map(_literal_entry, literals[1:3])]
+    assert keys[0] == keys[1]
+    assert _literal_entry(literals[3])[2] == ((((Y, 1),), float("-inf"), 2),)
+    assert _literal_entry(literals[4])[2] is None

@@ -7,7 +7,14 @@ from repro.core.domains import DomainSpec, ItemDomain
 from repro.core.formula import TRUE, ge, le
 from repro.core.interference import InterferenceChecker
 from repro.core.program import Read, TransactionType, Write
-from repro.core.report import failure_details, format_table, level_table, obligation_stats
+from repro.core.prover import clear_prover_caches, is_satisfiable
+from repro.core.report import (
+    analysis_stats_table,
+    failure_details,
+    format_table,
+    level_table,
+    obligation_stats,
+)
 from repro.core.terms import Item, Local
 
 
@@ -82,3 +89,21 @@ class TestObligationStats:
         assert stats["levels"] == 2
         assert stats["obligations"] > 0
         assert sum(stats["by_method"].values()) <= stats["obligations"]
+
+
+class TestAnalysisStatsTable:
+    def test_integer_cubes_line_counts_the_pre_check(self):
+        app = make_app()
+        checker = InterferenceChecker(app.spec)
+        clear_prover_caches()
+        x, y = Item("x"), Item("y")
+        # {x <= 0, x >= 1} contradicts and sorts first; {y >= 2, y <= 3} is SAT
+        is_satisfiable((le(x, 0) & ge(x, 1)) | (ge(y, 2) & le(y, 3)))
+        line = next(
+            line for line in analysis_stats_table(checker).splitlines()
+            if line.startswith("integer cubes:")
+        )
+        assert line == (
+            "integer cubes: 1 sat / 0 unsat / 0 undecided,"
+            " 1 set aside by the interval pre-check"
+        )

@@ -620,3 +620,42 @@ class TestGranuleIndexDifferential:
             assert analyzer.analyze(steps) == _reference_analyze(analyzer, steps), steps
             seen |= _cases(analyzer, steps)
         assert seen == set(_CASES), set(_CASES) - seen
+
+
+class TestOnlineAccessReuse:
+    """``analyze`` reuses a step's online access set only where it agrees."""
+
+    LEVELS = ("READ UNCOMMITTED", "REPEATABLE READ", "SNAPSHOT", "SERIALIZABLE")
+
+    def test_reused_sets_equal_the_recomputed_ones(self, monkeypatch):
+        from repro.pipeline.scenarios import scenarios_for
+        from repro.sched.explore import explore
+
+        original = RaceAnalyzer.analyze
+        counts = {"reused": 0, "recomputed": 0}
+
+        def checked(analyzer, steps):
+            levels = {r.txn_id: r.level for r in steps if r.txn_id is not None}
+            order_begins = any(
+                op.kind == "abort" and op.info.get("reason") == "deadlock victim"
+                for r in steps
+                for op in r.ops
+            )
+            for record in steps:
+                assert record.accesses is not None
+                fresh = analyzer.step_accesses(record, levels, order_begins)
+                kinds = {op.kind for op in record.ops}
+                if "abort" in kinds or ("begin" in kinds and order_begins != analyzer.may_deadlock):
+                    counts["recomputed"] += 1
+                else:
+                    assert record.accesses == fresh, record
+                    counts["reused"] += 1
+            return original(analyzer, steps)
+
+        monkeypatch.setattr(RaceAnalyzer, "analyze", checked)
+        for app in ("banking", "tpcc-lite", "mvcc-stress"):
+            for scenario in scenarios_for(app):
+                for level in self.LEVELS:
+                    specs = scenario.specs({name: level for name in scenario.focus})
+                    explore(scenario.initial(), specs, max_schedules=60)
+        assert counts["reused"] and counts["recomputed"], counts

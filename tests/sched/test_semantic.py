@@ -6,6 +6,9 @@ from repro.core.formula import conj, eq, ge
 from repro.core.program import Read, TransactionType, Write
 from repro.core.state import DbState
 from repro.core.terms import Item, Local, LogicalVar
+from repro.pipeline.scenarios import scenarios_for
+from repro.sched.explore import explore
+from repro.sched import semantic
 from repro.sched.semantic import (
     check_semantic_correctness,
     serial_replay_matches,
@@ -129,6 +132,57 @@ class TestSerialReplay:
         ]
         result = Simulator(DbState(items={"bal": 0}), specs, script=[0, 1, 0, 0, 1, 1]).run()
         assert not serial_replay_matches(result)
+
+
+class TestOneSerialReplay:
+    """``serial_equivalent`` reuses the check's own replay when it ran whole."""
+
+    @pytest.mark.parametrize("level", ["READ UNCOMMITTED", "SERIALIZABLE"])
+    @pytest.mark.parametrize("app", ["banking", "tpcc-lite"])
+    def test_agrees_with_a_fresh_replay_on_every_schedule(self, app, level):
+        checked = 0
+        for scenario in scenarios_for(app):
+
+            def settle(schedule, scenario=scenario):
+                nonlocal checked
+                report = check_semantic_correctness(
+                    schedule, scenario.invariant, scenario.cumulative
+                )
+                assert report.serial_equivalent == serial_replay_matches(schedule)
+                checked += 1
+
+            specs = scenario.specs({name: level for name in scenario.focus})
+            explore(scenario.initial(), specs, on_schedule=settle)
+        assert checked
+
+    def test_falls_back_when_a_ghost_evaluation_fails(self, monkeypatch):
+        # B0 snapshots an item the state lacks: the check's replay stops
+        # before A runs, so serial_equivalent comes from a fresh replay
+        ghostly = TransactionType(
+            name="Ghostly",
+            params=deposit().params,
+            body=deposit().body,
+            consistency=INVARIANT,
+            result=ge(Item("bal"), 0),
+            snapshot=((LogicalVar("B0"), Item("missing")),),
+        )
+        fresh_replays = []
+
+        def counted(result):
+            fresh_replays.append(result)
+            return serial_replay_matches(result)
+
+        monkeypatch.setattr(semantic, "serial_replay_matches", counted)
+        for first in (ghostly, deposit()):
+            specs = [
+                InstanceSpec(first, {"d": 2}, "READ COMMITTED", "A"),
+                InstanceSpec(deposit(), {"d": 5}, "READ COMMITTED", "B"),
+            ]
+            result = Simulator(DbState(items={"bal": 1}), specs, script=[0, 0, 0, 1, 1, 1]).run()
+            report = check_semantic_correctness(result, INVARIANT)
+            assert report.serial_equivalent == serial_replay_matches(result)
+        assert report.serial_equivalent is True  # the deposit-only run
+        assert len(fresh_replays) == 1  # only the ghostly run fell back
 
 
 class TestValidateLevel:

@@ -1,15 +1,14 @@
 """E18 — MVCC storage: snapshot-begin cost and vacuum reclamation.
 
-Two measurements against the frozen legacy engine:
+Two measurements:
 
-* **snapshot-begin scaling** — beginning a SNAPSHOT transaction on the
-  legacy engine deep-copies the committed state (cost grows with the
-  database), while the MVCC store captures ``(next_xid, in_flight)`` —
-  a constant-size token.  The acceptance bar is the *shape*: across a
-  64x growth in database size the MVCC begin cost must stay within a
-  small constant factor while the legacy copy grows by at least the
-  size ratio's square root (it is linear in practice; the bar is loose
-  because CI timers are noisy).
+* **snapshot-begin scaling** — the MVCC store begins a SNAPSHOT
+  transaction by capturing ``(next_xid, in_flight)``, a constant-size
+  token.  The acceptance bar is the *shape*: across a 64x growth in
+  database size the begin cost must stay within a small constant factor
+  (the bar is loose because CI timers are noisy).  The deep-copying
+  pre-MVCC engine this replaced grew linearly, from 23 to 2,072 us over
+  the same sizes (EXPERIMENTS.md E18).
 * **vacuum reclamation** — sustained single-row churn with auto-vacuum
   holds the version count flat and reclaims one superseded version per
   commit, while a pinned long-running snapshot blocks reclamation until
@@ -25,7 +24,6 @@ import pytest
 from benchmarks._report import emit, emit_json
 from repro.core.report import format_table
 from repro.core.state import DbState
-from repro.engine.legacy import LegacyEngine
 from repro.engine.manager import Engine
 from repro.engine.storage import STORAGE_STATS
 
@@ -58,31 +56,16 @@ def begin_costs():
     out = {}
     for rows in SIZES:
         mvcc = Engine(scaled_state(rows), vacuum="off")
-        legacy = LegacyEngine(scaled_state(rows))
-        # interleave warmup then measurement so neither engine is favoured
-        timed_begins(mvcc, 10), timed_begins(legacy, 10)
-        out[rows] = {
-            "mvcc_us": round(timed_begins(mvcc, BEGIN_ROUNDS), 2),
-            "legacy_us": round(timed_begins(legacy, BEGIN_ROUNDS), 2),
-        }
+        timed_begins(mvcc, 10)  # warmup
+        out[rows] = {"mvcc_us": round(timed_begins(mvcc, BEGIN_ROUNDS), 2)}
     return out
 
 
 def test_bench_snapshot_begin_is_flat(begin_costs):
-    """MVCC begin cost must not scale with database size; legacy must."""
+    """MVCC begin cost must not scale with database size."""
     smallest, largest = SIZES[0], SIZES[-1]
     mvcc_growth = begin_costs[largest]["mvcc_us"] / begin_costs[smallest]["mvcc_us"]
-    legacy_growth = (
-        begin_costs[largest]["legacy_us"] / begin_costs[smallest]["legacy_us"]
-    )
-    size_ratio = largest / smallest
     assert mvcc_growth < 8, f"MVCC snapshot begin scaled with size: {begin_costs}"
-    assert legacy_growth > size_ratio**0.5, (
-        f"legacy deep copy unexpectedly flat: {begin_costs}"
-    )
-    assert (
-        begin_costs[largest]["mvcc_us"] < begin_costs[largest]["legacy_us"]
-    ), f"MVCC begin slower than a deep copy at {largest} rows: {begin_costs}"
 
 
 @pytest.fixture(scope="module")
@@ -155,15 +138,8 @@ def test_bench_pinned_reader_blocks_reclamation(churn):
 
 
 def test_bench_emit_report(begin_costs, churn):
-    rows = [
-        (
-            str(size),
-            f"{begin_costs[size]['mvcc_us']:.2f}",
-            f"{begin_costs[size]['legacy_us']:.2f}",
-        )
-        for size in SIZES
-    ]
-    table = format_table(("rows", "mvcc begin (us)", "legacy begin (us)"), rows)
+    rows = [(str(size), f"{begin_costs[size]['mvcc_us']:.2f}") for size in SIZES]
+    table = format_table(("rows", "mvcc begin (us)"), rows)
     extra = (
         f"churn={CHURN_COMMITS} commits: auto reclaimed "
         f"{churn['auto']['reclaimed']} over {churn['auto']['vacuum_passes']} passes; "

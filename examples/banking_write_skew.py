@@ -21,7 +21,7 @@ from repro.core.report import failure_details
 from repro.core.terms import Field, IntConst
 from repro.sched.anomalies import detect_write_skew
 from repro.sched.semantic import check_semantic_correctness
-from repro.sched.serializability import check_conflict_serializability
+from repro.sched.isolation import isolation_violations
 
 INVARIANT = ge(
     Field("acct_sav", IntConst(0), "bal") + Field("acct_ch", IntConst(0), "bal"), 0
@@ -57,7 +57,8 @@ def scripted_write_skew() -> None:
     print(f"  committed: {[o.name for o in result.committed]}")
     print(f"  final balances: sav={sav} ch={ch}  (sum {sav + ch})")
     print(f"  semantic check:  {check_semantic_correctness(result, INVARIANT).summary()}")
-    print(f"  serializable:    {check_conflict_serializability(result).serializable}")
+    ser = isolation_violations(result.initial, result.history, "SERIALIZABLE")
+    print(f"  serializable:    {not ser}")
     print(f"  anomaly:         {detect_write_skew(result)}")
     print()
 

@@ -10,7 +10,7 @@ for Correctness at Different Isolation Levels", ICDE 2000*:
   :mod:`repro.core.chooser`);
 * an in-memory transactional engine implementing the locking/MVCC recipes
   of Berenson et al. for all six levels (:mod:`repro.engine`);
-* a deterministic schedule simulator with serializability, anomaly and
+* a deterministic schedule simulator with isolation-axiom, anomaly and
   dynamic semantic-correctness checkers (:mod:`repro.sched`);
 * the paper's example applications, modeled and runnable
   (:mod:`repro.apps`), and workload harnesses (:mod:`repro.workloads`).

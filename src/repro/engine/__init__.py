@@ -15,8 +15,6 @@ exactly the interleavings each level permits:
 * :mod:`repro.engine.transaction` — per-transaction runtime state: level,
   read/write sets, the op-ordered stamp log (unstamped on abort), and the
   SNAPSHOT write overlay;
-* :mod:`repro.engine.legacy` — the frozen pre-MVCC store and engine, the
-  baseline for differential tests and the snapshot-cost benchmark;
 * :mod:`repro.engine.manager` — the engine proper: per-level read/write/
   commit/abort rules for READ UNCOMMITTED, READ COMMITTED, READ COMMITTED
   with first-committer-wins, REPEATABLE READ, SNAPSHOT and SERIALIZABLE;

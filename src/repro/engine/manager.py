@@ -38,7 +38,7 @@ lock protocols.
 All operations are non-blocking in the thread sense: they either complete
 or raise :class:`repro.engine.locks.WouldBlock`; the scheduler owns retry
 and deadlock policy.  Every operation appends to ``history`` for the
-serializability and anomaly analyses in :mod:`repro.sched`.
+isolation and anomaly analyses in :mod:`repro.sched`.
 """
 
 from __future__ import annotations

@@ -51,13 +51,6 @@ class TransactionAborted(EngineError):
         self.reason = reason
 
 
-class DeadlockAbort(TransactionAborted):
-    """The transaction was chosen as a deadlock victim."""
-
-    def __init__(self, txn_id: int) -> None:
-        super().__init__(txn_id, "deadlock victim")
-
-
 class FirstCommitterWinsAbort(TransactionAborted):
     """A first-committer-wins validation failed (SNAPSHOT or RC-FCW)."""
 

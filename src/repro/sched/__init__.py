@@ -1,4 +1,4 @@
-"""Schedules: interleaved execution, serializability and semantic checking.
+"""Schedules: interleaved execution, isolation and semantic checking.
 
 * :mod:`repro.sched.interpreter` — run :class:`repro.core.program`
   transaction programs operation-by-operation through the engine;
@@ -7,8 +7,9 @@
   aborts, first-committer-wins aborts, rollback injection and retry;
 * :mod:`repro.sched.schedule` — results: commit order, per-instance
   environments, per-commit committed-state snapshots, engine history;
-* :mod:`repro.sched.serializability` — conflict graph over the committed
-  transactions and the conflict-serializability verdict;
+* :mod:`repro.sched.isolation` — client-centric commit tests for READ
+  COMMITTED, SNAPSHOT and SERIALIZABLE over a committed history, an
+  oracle for the engine that shares none of its code;
 * :mod:`repro.sched.semantic` — the paper's *semantic correctness* check:
   consistency of the final state, per-transaction results ``Q_i`` at commit
   time, cumulative results, and serial-replay comparison;

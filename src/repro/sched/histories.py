@@ -23,17 +23,9 @@ transaction (first-committer-wins).  The outcome object reports which
 steps executed, so a bench can assert e.g. "the dirty-read history is
 executable at READ UNCOMMITTED but its read blocks at READ COMMITTED."
 
-Two bridges to the simulator stack close the loop between the DSL and
-policy-driven execution:
-
-* :func:`compile_history` translates a history into synthetic transaction
-  types, instance specs and a scheduling script, and
-  :func:`replay_via_policy` runs them through the simulator with a
-  :class:`~repro.sched.policy.ReplayPolicy` — reproducing :func:`replay`'s
-  outcomes step for step on one shared execution core;
-* :func:`history_string` renders an executed schedule's engine history
-  back into a DSL line, making explored counterexamples replayable via
-  ``repro replay``.
+:func:`history_string` goes the other way: it renders an executed
+schedule's engine history back into a DSL line, making explored
+counterexamples replayable via ``repro replay``.
 """
 
 from __future__ import annotations
@@ -203,157 +195,6 @@ def _ensure_locations(state: DbState, tokens) -> None:
                 state.write_field(array, index, attr, 0)
         elif not state.has_item(lhs):
             state.write_item(lhs, 0)
-
-
-# ---------------------------------------------------------------------------
-# bridges to the policy-driven simulator
-# ---------------------------------------------------------------------------
-
-
-def compile_history(
-    history: str,
-    levels: dict,
-    initial: DbState | None = None,
-    default_level: str = "READ COMMITTED",
-):
-    """Translate a history into ``(initial, specs, script)``.
-
-    Each transaction number becomes a synthetic straight-line
-    :class:`~repro.core.program.TransactionType` (one statement per op
-    token, a :class:`~repro.core.program.Rollback` for ``a<t>``), and the
-    token order becomes a scheduling script — one entry per token, the
-    ``c<t>`` token claiming the instance's commit step.
-    """
-    from repro.core.formula import RowAttr, eq
-    from repro.core.program import Insert, Read, Rollback, Select, TransactionType, Write
-    from repro.core.terms import Field, IntConst, Item, Local, coerce
-    from repro.sched.simulator import InstanceSpec
-
-    state = initial.copy() if initial is not None else DbState(items={})
-    tokens = parse(history)
-    _ensure_locations(state, tokens)
-
-    numbers: list = []  # transaction numbers in first-appearance order
-    bodies: dict = {}  # number -> list of statements
-    for raw, op, number, body in tokens:
-        if number not in bodies:
-            bodies[number] = []
-            numbers.append(number)
-        stmts = bodies[number]
-        position = len(stmts)
-        if op == "r":
-            target = _FIELD.match(body)
-            source = (
-                Field(target["array"], IntConst(int(target["index"])), target["attr"])
-                if target is not None
-                else Item(body)
-            )
-            stmts.append(Read(into=Local(f"v{number}_{position}"), source=source))
-        elif op == "w":
-            lhs, _eq_, literal = body.partition("=")
-            target = _FIELD.match(lhs)
-            dest = (
-                Field(target["array"], IntConst(int(target["index"])), target["attr"])
-                if target is not None
-                else Item(lhs)
-            )
-            stmts.append(Write(target=dest, value=IntConst(int(literal))))
-        elif op == "rp":
-            table, _colon, cond = body.partition(":")
-            attr, _eq_, literal = cond.partition("=")
-            wanted = _parse_value(literal)
-            sort = "str" if isinstance(wanted, str) else ("bool" if isinstance(wanted, bool) else "int")
-            stmts.append(
-                Select(
-                    table=table,
-                    into=Local(f"v{number}_{position}"),
-                    where=eq(RowAttr("r", attr, sort), coerce(wanted)),
-                    row="r",
-                )
-            )
-        elif op == "ins":
-            table, _colon, assigns = body.partition(":")
-            values = []
-            for assign in assigns.split(","):
-                attr, _eq_, literal = assign.partition("=")
-                values.append((attr, coerce(_parse_value(literal))))
-            stmts.append(Insert(table=table, values=tuple(values)))
-        elif op == "a":
-            stmts.append(Rollback(reason="scripted abort"))
-        # 'c' contributes no statement: it claims the instance's commit step
-
-    index_of = {number: position for position, number in enumerate(numbers)}
-    specs = [
-        InstanceSpec(
-            txn_type=TransactionType(name=f"T{number}", body=tuple(bodies[number])),
-            level=levels.get(number, default_level),
-            name=f"T{number}",
-        )
-        for number in numbers
-    ]
-    script = [index_of[number] for _raw, _op, number, _body in tokens]
-    return state, specs, script
-
-
-def replay_via_policy(
-    history: str,
-    levels: dict,
-    initial: DbState | None = None,
-    default_level: str = "READ COMMITTED",
-) -> ReplayResult:
-    """Replay a history through the simulator's execution core.
-
-    Equivalent to :func:`replay` — same step outcomes, same final state —
-    but driven by :class:`~repro.sched.policy.ReplayPolicy` over the
-    compiled script, with blocked operations dropped exactly as the DSL
-    prescribes.
-    """
-    from repro.sched.policy import ReplayPolicy
-    from repro.sched.simulator import Simulator
-
-    state, specs, script = compile_history(history, levels, initial, default_level)
-    simulator = Simulator(
-        state,
-        specs,
-        policy=ReplayPolicy(script, on_exhausted="stop"),
-        retry=False,
-        collect_trace=True,
-        drop_blocked=True,
-    )
-    simulator.run()
-    slots: dict = {}
-    for event in simulator.trace:
-        slots.setdefault(event.slot, []).append(event)
-    result = ReplayResult(engine=simulator.engine)
-    for slot, (raw, op, _number, _body) in enumerate(parse(history), start=1):
-        result.steps.append(_outcome_from_events(raw, op, slots.get(slot, ())))
-    result.final = simulator.engine.committed_state()
-    return result
-
-
-def _outcome_from_events(raw: str, op: str, events) -> StepOutcome:
-    kinds = [event.kind for event in events]
-    if not events or "skip" in kinds:
-        # either the script entry named a finished instance, or the run
-        # ended before reaching it (all live instances already finished) —
-        # both mean the transaction died under an earlier token
-        return StepOutcome(raw, "skipped", detail="transaction aborted earlier")
-    if op == "a":
-        # the rollback op executed; the trailing abort event is the point
-        return StepOutcome(raw, "ok")
-    if "blocked" in kinds:
-        event = events[kinds.index("blocked")]
-        return StepOutcome(raw, "blocked", detail=f"blocked by {sorted(event.blockers)}")
-    if "abort" in kinds:
-        event = events[kinds.index("abort")]
-        return StepOutcome(raw, "aborted", detail=event.detail)
-    if "commit" in kinds:
-        return StepOutcome(raw, "ok")
-    if "op" in kinds:
-        event = events[kinds.index("op")]
-        value = event.value if op in ("r", "rp") else None
-        return StepOutcome(raw, "ok", value=value)
-    return StepOutcome(raw, "ok")  # pragma: no cover - every step emits events
 
 
 # ---------------------------------------------------------------------------

@@ -176,16 +176,6 @@ class Frame:
         return None
 
 
-def enabled_indices(active) -> list:
-    """Candidate instances at a decision point, unblocked preferred.
-
-    Mirrors :class:`RandomPolicy`'s pool so the explored tree covers the
-    same schedules the random sweeps sample from, in deterministic order.
-    """
-    unblocked = sorted(rt.index for rt in active if not rt.blocked)
-    return unblocked or sorted(rt.index for rt in active)
-
-
 class ExhaustivePolicy(SchedulePolicy):
     """Drive one run of a DFS over scheduling decisions.
 

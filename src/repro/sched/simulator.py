@@ -8,10 +8,7 @@ one instance:
 * a successful operation advances that instance's interpreter;
 * an operation that raises :class:`~repro.engine.locks.WouldBlock` leaves
   the instance blocked (the same thunk is retried when next scheduled) and
-  records waits-for edges; a cycle aborts the youngest transaction in it —
-  unless ``drop_blocked`` is set, in which case the blocked operation is
-  *dropped* (the history-DSL convention: the lock protocol prevented the
-  interleaving, the script moves on);
+  records waits-for edges; a cycle aborts the youngest transaction in it;
 * first-committer-wins aborts (READ COMMITTED FCW writes, SNAPSHOT
   commits) and deadlock-victim aborts optionally restart the instance from
   scratch against the now-committed state — the standard retry loop;
@@ -57,23 +54,6 @@ class InstanceSpec:
         return self.name or f"{self.txn_type.name}#{index}"
 
 
-@dataclass
-class TraceEvent:
-    """One recorded scheduling event (``collect_trace=True``).
-
-    ``slot`` counts policy decisions (1-based): every consumed scheduling
-    decision — including skips of finished instances — gets one slot, so a
-    replayed script aligns slot-for-entry with its source.
-    """
-
-    slot: int
-    kind: str  # op | commit | abort | blocked | skip
-    index: int
-    value: object = None
-    detail: str = ""
-    blockers: tuple = ()
-
-
 class _Runtime:
     """Mutable per-instance simulation state."""
 
@@ -113,8 +93,6 @@ class Simulator:
         phantom_protection: bool = True,
         observers: Sequence | None = None,
         policy: SchedulePolicy | None = None,
-        collect_trace: bool = False,
-        drop_blocked: bool = False,
         engine_opts: dict | None = None,
     ) -> None:
         #: extra Engine keyword options (e.g. ``{"vacuum": "off"}``) —
@@ -139,7 +117,6 @@ class Simulator:
         self.retry = retry
         self.max_restarts = max_restarts
         self.max_steps = max_steps
-        self.drop_blocked = drop_blocked
         self.wfg = WaitsForGraph()
         self.stats = {
             "steps": 0,
@@ -153,8 +130,6 @@ class Simulator:
         self._runtimes = [_Runtime(i, spec) for i, spec in enumerate(self.specs)]
         self._committed_states: dict = {}
         self._realised: list = []
-        self.trace: list | None = [] if collect_trace else None
-        self._slot = 0
 
     # -- public ------------------------------------------------------------
     def run(self) -> ScheduleResult:
@@ -165,9 +140,7 @@ class Simulator:
             choice = self.policy.choose(active, self)
             if choice is None:
                 break
-            self._slot += 1
             if choice.status not in ("ready", "running"):
-                self._note("skip", choice, detail="transaction aborted earlier")
                 continue
             mark = len(self.engine.history)
             self._step(choice)
@@ -177,10 +150,6 @@ class Simulator:
         return self._result()
 
     # -- internals ------------------------------------------------------------
-    def _note(self, kind: str, rt: _Runtime, **payload) -> None:
-        if self.trace is not None:
-            self.trace.append(TraceEvent(slot=self._slot, kind=kind, index=rt.index, **payload))
-
     def _start(self, rt: _Runtime) -> None:
         spec = rt.spec
         rt.txn = self.engine.begin(spec.level)
@@ -227,7 +196,6 @@ class Simulator:
                 self.wfg.remove(rt.txn.txn_id)
                 self.stats["commits"] += 1
                 self._committed_states[rt.index] = self.engine.committed_state()
-                self._note("commit", rt)
                 # SNAPSHOT transactions publish their buffered writes at
                 # commit: observers must see that state transition too
                 for observer in self.observers:
@@ -249,7 +217,6 @@ class Simulator:
             self.wfg.clear_waits(rt.txn.txn_id)
             rt.last_result = result
             rt.pending = None
-            self._note("op", rt, value=result)
             if rt.txn.status == _TXN_ABORTED:
                 # an explicit Rollback statement tore the transaction down
                 # through the engine; the rollback is part of the program,
@@ -271,15 +238,6 @@ class Simulator:
         except WouldBlock as block:
             self.stats["waits"] += 1
             rt.last_block = (block.key, block.mode)
-            self._note("blocked", rt, blockers=tuple(sorted(block.blockers)))
-            if self.drop_blocked:
-                # history-DSL semantics: the blocked operation is dropped
-                # (not retried) and no waits-for edges accumulate
-                if not rt.at_commit:
-                    rt.last_result = None
-                    rt.pending = None
-                    self._advance(rt)
-                return
             rt.blocked = True
             self.wfg.add_waits(rt.txn.txn_id, block.blockers)
             self._resolve_deadlock()
@@ -319,7 +277,6 @@ class Simulator:
 
     def _finish_aborted(self, rt: _Runtime, reason: str, allow_retry: bool) -> None:
         rt.abort_reasons.append(reason)
-        self._note("abort", rt, detail=reason)
         self.wfg.remove(rt.txn.txn_id)
         rt.blocked = False
         if rt.gen is not None:

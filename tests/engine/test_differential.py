@@ -1,25 +1,54 @@
-"""Differential harness: the MVCC engine vs the frozen legacy engine.
+"""The MVCC engine against its parity golden, and against the isolation axioms.
 
-Every operation script is replayed through both engines in lockstep.
-After each step the two must agree on the outcome (value returned, or the
-exception's type and payload) and on the public live and committed
-states; at the end the recorded histories must match op for op —
-``HistoryOp.version`` included, since recorded histories are replayed and
-compared byte-for-byte elsewhere in the pipeline.
+Two checks stand where a lockstep harness once ran the MVCC engine beside
+the frozen pre-MVCC engine it replaced:
 
-A hypothesis property test drives random multi-transaction programs
-through random schedules to hunt for divergence the hand-written scripts
-miss.
+* **Parity golden.**  ``data/engine_parity.json`` records what both
+  engines answered, in lockstep and in agreement, at commit ``a0055da``
+  (the last commit that carried the old engine), under
+  ``PYTHONHASHSEED=0``.  For the six scripted
+  cases of :class:`TestScriptedParity` and the workloads
+  :func:`workload` draws from seeds ``0..GOLDEN_SEEDS-1`` it holds every
+  step's outcome (the value returned, or the exception's type and
+  payload, WouldBlock's key and mode), a 16-hex digest of the canonical
+  live and committed states after every step, and the final history op
+  for op — ``HistoryOp.version`` included, since recorded histories are
+  replayed and compared byte for byte elsewhere in the pipeline.  The
+  MVCC engine alone must reproduce all of it.  The seeded workloads
+  replay in an interpreter under the same hash seed: a SNAPSHOT commit
+  validates its write set in set order, so which key it names can
+  follow string hashing (see
+  :func:`test_snapshot_commit_names_the_same_key_under_any_hash_seed`).
+* **Isolation axioms.**  A hypothesis property runs random workloads with
+  every transaction at one level and requires the committed history to
+  pass that level's client-centric commit test
+  (:mod:`repro.sched.isolation`), an oracle that shares none of the
+  engine's code.
 """
+
+import functools
+import hashlib
+import json
+import os
+import pathlib
+import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.state import DbState
-from repro.engine.legacy import LegacyEngine
 from repro.engine.locks import WouldBlock
 from repro.engine.manager import Engine
 from repro.errors import ReproError
+from repro.sched.isolation import isolation_violations
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "engine_parity.json"
+
+#: seeded workloads the golden pins, and the hash seed it was recorded under
+GOLDEN_SEEDS = 300
+GOLDEN_HASH_SEED = "0"
 
 LEVELS = (
     "READ UNCOMMITTED",
@@ -47,59 +76,81 @@ def _bump_changes(delta):
     return lambda row: {"k": row["k"] + delta}
 
 
-class DualEngine:
-    """Run the same operations against both engines and diff everything."""
+def attempt(engine, txn, method: str, args: tuple) -> tuple:
+    """One engine call as a comparable outcome."""
+    try:
+        return ("ok", getattr(engine, method)(txn, *args))
+    except WouldBlock as exc:
+        # blocker ids are engine-local; the contended granule is not
+        return ("WouldBlock", exc.key, exc.mode)
+    except ReproError as exc:
+        return (type(exc).__name__, str(exc))
 
-    def __init__(self, initial: DbState | None = None, vacuum: str = "auto") -> None:
-        base = initial or initial_state()
-        self.new = Engine(base.copy(), vacuum=vacuum)
-        self.old = LegacyEngine(base.copy())
+
+def plain(value):
+    """``value`` as it reads back from JSON (tuples become lists)."""
+    return json.loads(json.dumps(value))
+
+
+def digest(state: DbState) -> str:
+    return hashlib.sha256(repr(state.canonical()).encode()).hexdigest()[:16]
+
+
+def step_label(name: str, method: str, args: tuple) -> str:
+    shown = ", ".join("fn" if callable(arg) else repr(arg) for arg in args)
+    return f"{name}.{method}({shown})"
+
+
+def history_rows(engine: Engine) -> list:
+    return plain(
+        [(op.kind, op.key, op.version, op.dirty_from, op.info) for op in engine.history]
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+class GoldenEngine:
+    """Drive the MVCC engine and diff every step against one golden case."""
+
+    def __init__(self, case: str) -> None:
+        self.case = case
+        self.expected = golden()[case]
+        self.engine = Engine(initial_state())
         self.txns: dict = {}
+        self.step = 0
 
     def begin(self, name: str, level: str) -> None:
-        self.txns[name] = (self.new.begin(level), self.old.begin(level))
-        self.check()
+        self.txns[name] = self.engine.begin(level)
+        self._check(f"{name}.begin({level!r})", None)
 
     def op(self, name: str, method: str, *args):
-        """Apply one engine method to both; return (outcome, outcome)."""
-        new_txn, old_txn = self.txns[name]
-        outcomes = []
-        for engine, txn in ((self.new, new_txn), (self.old, old_txn)):
-            try:
-                outcomes.append(("ok", getattr(engine, method)(txn, *args)))
-            except WouldBlock as exc:
-                # blocker ids are engine-local; diff the contended granule
-                outcomes.append(("WouldBlock", exc.key, exc.mode))
-            except ReproError as exc:
-                outcomes.append((type(exc).__name__, str(exc)))
-        assert outcomes[0] == outcomes[1], (
-            f"{method}{args} diverged: mvcc={outcomes[0]} legacy={outcomes[1]}"
-        )
-        self.check()
-        return outcomes[0]
+        outcome = attempt(self.engine, self.txns[name], method, args)
+        self._check(step_label(name, method, args), outcome)
+        return outcome
 
-    def check(self) -> None:
-        assert self.new.public_live().canonical() == self.old.public_live().canonical()
-        assert (
-            self.new.committed_state().canonical()
-            == self.old.committed_state().canonical()
-        )
+    def _check(self, label: str, outcome) -> None:
+        where = f"{self.case} step {self.step}: {label}"
+        assert self.step < len(self.expected["steps"]), f"{where}: past the golden"
+        want = self.expected["steps"][self.step]
+        got = [label, plain(outcome), digest(self.engine.public_live()),
+               digest(self.engine.committed_state())]
+        assert got == want, f"{where}: got {got}, golden {want}"
+        self.step += 1
 
     def check_history(self) -> None:
-        new_ops = [
-            (op.kind, op.key, op.version, op.dirty_from, op.info)
-            for op in self.new.history
-        ]
-        old_ops = [
-            (op.kind, op.key, op.version, op.dirty_from, op.info)
-            for op in self.old.history
-        ]
-        assert new_ops == old_ops
+        assert self.step == len(self.expected["steps"]), f"{self.case}: steps missing"
+        assert history_rows(self.engine) == self.expected["history"], self.case
 
 
 class TestScriptedParity:
+    def driver(self, case: str):
+        return GoldenEngine(case)
+
     def test_plain_read_write_commit(self):
-        dual = DualEngine()
+        dual = self.driver("plain_read_write_commit")
         dual.begin("a", "READ COMMITTED")
         dual.op("a", "read_item", "x")
         dual.op("a", "write_item", "x", 9)
@@ -107,7 +158,7 @@ class TestScriptedParity:
         dual.check_history()
 
     def test_abort_restores_everything(self):
-        dual = DualEngine()
+        dual = self.driver("abort_restores_everything")
         dual.begin("a", "REPEATABLE READ")
         dual.op("a", "write_item", "x", 9)
         dual.op("a", "write_field", "acct", 0, "bal", 99)
@@ -118,7 +169,7 @@ class TestScriptedParity:
         dual.check_history()
 
     def test_si_buffered_writes_and_fcw(self):
-        dual = DualEngine()
+        dual = self.driver("si_buffered_writes_and_fcw")
         dual.begin("a", "SNAPSHOT")
         dual.begin("b", "SNAPSHOT")
         dual.op("a", "read_item", "x")
@@ -131,7 +182,7 @@ class TestScriptedParity:
         dual.check_history()
 
     def test_si_relational_ops(self):
-        dual = DualEngine()
+        dual = self.driver("si_relational_ops")
         dual.begin("a", "SNAPSHOT")
         dual.op("a", "insert", "T", {"k": 10})
         dual.op("a", "select", "T", _ge_pred(0))
@@ -142,7 +193,7 @@ class TestScriptedParity:
         dual.check_history()
 
     def test_snapshot_reader_spans_writer_commits(self):
-        dual = DualEngine()
+        dual = self.driver("snapshot_reader_spans_writer_commits")
         dual.begin("r", "SNAPSHOT")
         dual.op("r", "read_field", "acct", 0, "bal")
         for round_no in (1, 2, 3):
@@ -155,7 +206,7 @@ class TestScriptedParity:
         dual.check_history()
 
     def test_blocked_writer_and_unknown_locations(self):
-        dual = DualEngine()
+        dual = self.driver("blocked_writer_and_unknown_locations")
         dual.begin("a", "READ COMMITTED")
         dual.begin("b", "READ COMMITTED")
         dual.op("a", "write_item", "x", 1)
@@ -169,35 +220,33 @@ class TestScriptedParity:
         dual.check_history()
 
 
-# -- the hypothesis property -------------------------------------------------
+# -- seeded random workloads ---------------------------------------------------
 
-_OPS = st.sampled_from(
-    [
-        ("read_item", "x"),
-        ("read_item", "y"),
-        ("write_item:x",),
-        ("write_item:y",),
-        ("read_field", "acct", 0, "bal"),
-        ("read_field", "acct", 1, "bal"),
-        ("write_field:0",),
-        ("write_field:1",),
-        ("select",),
-        ("insert",),
-        ("update",),
-        ("delete",),
-    ]
+_OPS = (
+    ("read_item", "x"),
+    ("read_item", "y"),
+    ("write_item:x",),
+    ("write_item:y",),
+    ("read_field", "acct", 0, "bal"),
+    ("read_field", "acct", 1, "bal"),
+    ("write_field:0",),
+    ("write_field:1",),
+    ("select",),
+    ("insert",),
+    ("update",),
+    ("delete",),
 )
 
 
 def _materialise(op, value):
-    """Turn a sampled op token into (method, args) with a concrete value."""
+    """Turn an op token into (method, args) with a concrete value."""
     kind = op[0]
     if kind.startswith("write_item:"):
         return ("write_item", (kind.split(":")[1], value))
     if kind.startswith("write_field:"):
         return ("write_field", ("acct", int(kind.split(":")[1]), "bal", value))
     if kind == "select":
-        return ("select", (("T", _ge_pred(value % 4))))
+        return ("select", ("T", _ge_pred(value % 4)))
     if kind == "insert":
         return ("insert", ("T", {"k": value % 7}))
     if kind == "update":
@@ -207,44 +256,34 @@ def _materialise(op, value):
     return (kind, tuple(op[1:]))
 
 
-@st.composite
-def _workload(draw):
-    n_txns = draw(st.integers(min_value=2, max_value=3))
+def workload(rng: random.Random, level: str | None = None):
+    """2-3 transactions of 1-4 ops each, and a schedule interleaving them.
+
+    Each transaction draws its own level unless ``level`` fixes one for
+    all.  The schedule lists instance indices; entries past an instance's
+    last op give it more chances to retry a block or commit.
+    """
+    n_txns = rng.randint(2, 3)
     programs = []
     for _ in range(n_txns):
-        level = draw(st.sampled_from(LEVELS))
-        length = draw(st.integers(min_value=1, max_value=4))
+        txn_level = level or rng.choice(LEVELS)
         ops = [
-            _materialise(draw(_OPS), draw(st.integers(min_value=0, max_value=9)))
-            for _ in range(length)
+            _materialise(rng.choice(_OPS), rng.randint(0, 9))
+            for _ in range(rng.randint(1, 4))
         ]
-        programs.append((level, ops))
-    # the schedule interleaves instance indices; extra entries give blocked
-    # or finished instances more chances to retry/commit
-    schedule = draw(
-        st.lists(
-            st.integers(min_value=0, max_value=n_txns - 1),
-            min_size=n_txns,
-            max_size=6 * n_txns,
-        )
-    )
+        programs.append((txn_level, ops))
+    schedule = [rng.randrange(n_txns) for _ in range(rng.randint(n_txns, 6 * n_txns))]
     return programs, schedule
 
 
-@settings(max_examples=60, deadline=None)
-@given(_workload())
-def test_random_schedules_agree(workload):
-    """Legacy and MVCC engines never diverge on any schedule of any program.
+def run_workload(dual, programs, schedule) -> None:
+    """Advance instances per ``schedule``, then commit the survivors.
 
-    Instances advance per the random schedule; a blocked operation is
-    retried on the instance's next turn, an abort (FCW, explicit) ends the
-    instance, and every instance still alive at the end of the schedule
-    attempts to commit in index order (retrying past blocks by aborting
-    the blocker's victimhood is out of scope — a final commit that blocks
-    simply aborts).  Public states are diffed after every single step.
+    A blocked operation is retried on the instance's next turn, an abort
+    (FCW, explicit) ends the instance, and every instance still alive at
+    the end of the schedule attempts to commit in index order; a final
+    commit that blocks aborts.
     """
-    programs, schedule = workload
-    dual = DualEngine()
     cursors = [0] * len(programs)
     finished = [False] * len(programs)
     for index, (level, _ops) in enumerate(programs):
@@ -252,7 +291,7 @@ def test_random_schedules_agree(workload):
     for index in schedule:
         if finished[index]:
             continue
-        level, ops = programs[index]
+        _level, ops = programs[index]
         name = str(index)
         if cursors[index] >= len(ops):
             status = dual.op(name, "commit")[0]
@@ -271,6 +310,67 @@ def test_random_schedules_agree(workload):
             if status == "WouldBlock":
                 dual.op(name, "abort")
     dual.check_history()
+
+
+def check_seeded_workloads(seeds=range(GOLDEN_SEEDS)) -> None:
+    for seed in seeds:
+        run_workload(GoldenEngine(f"seed:{seed}"), *workload(random.Random(seed)))
+
+
+def _under_hash_seed(code: str, hash_seed: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this module."""
+    here = pathlib.Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parents[1] / "src"), str(here)])
+    return subprocess.run(
+        [sys.executable, "-c", f"import test_differential as t; {code}"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hash_seed),
+    )
+
+
+def test_seeded_workloads_match_the_golden():
+    run = _under_hash_seed("t.check_seeded_workloads()", GOLDEN_HASH_SEED)
+    assert run.returncode == 0, run.stderr[-3000:]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="Engine._commit_snapshot checks txn.write_set, a set, in iteration"
+    " order, which follows string hashing: under another PYTHONHASHSEED a"
+    " commit's FirstCommitterWinsAbort (seed 223) or WouldBlock (seed 254)"
+    " names a different key than the golden",
+)
+def test_snapshot_commit_names_the_same_key_under_any_hash_seed():
+    for hash_seed, seed in (("3", 223), ("1", 254)):
+        run = _under_hash_seed(f"t.check_seeded_workloads([{seed}])", hash_seed)
+        assert run.returncode == 0, run.stderr[-3000:]
+
+
+class EngineDriver:
+    """The :func:`run_workload` driver with no golden: the engine alone."""
+
+    def __init__(self) -> None:
+        self.engine = Engine(initial_state())
+        self.txns: dict = {}
+
+    def begin(self, name: str, level: str) -> None:
+        self.txns[name] = self.engine.begin(level)
+
+    def op(self, name: str, method: str, *args):
+        return attempt(self.engine, self.txns[name], method, args)
+
+    def check_history(self) -> None:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(LEVELS[1:]), st.randoms(use_true_random=False))
+def test_random_schedules_agree(level, rng):
+    """Every one-level workload's committed history passes that level's axiom."""
+    dual = EngineDriver()
+    run_workload(dual, *workload(rng, level=level))
+    assert isolation_violations(initial_state(), dual.engine.history, level) == []
 
 
 def test_vacuum_modes_do_not_change_observables():

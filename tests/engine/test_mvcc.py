@@ -81,7 +81,7 @@ class TestDeleteThenAbortRidLifecycle:
         engine.abort(txn)
         after = [(rid, row["k"]) for rid, row in engine.store.dirty_rows("T")]
         # same rid, but re-appended at the end of the live order (the
-        # legacy engine's undo_delete contract, preserved for history parity)
+        # contract the engine parity golden pins)
         assert after == [(before[2], 2), (before[3], 3), (before[1], 1)]
 
     def test_aborted_delete_does_not_free_the_rid(self):

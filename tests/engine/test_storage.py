@@ -1,9 +1,8 @@
-"""Unit tests for the MVCC store and the frozen legacy store."""
+"""Unit tests for the MVCC store."""
 
 import pytest
 
 from repro.core.state import DbState
-from repro.engine.legacy import LegacyVersionedStore
 from repro.engine.storage import (
     RID,
     BOOTSTRAP_XID,
@@ -12,7 +11,7 @@ from repro.engine.storage import (
     VersionedStore,
     strip_rid,
 )
-from repro.errors import EngineError, EvaluationError
+from repro.errors import EvaluationError
 
 
 def _initial() -> DbState:
@@ -26,11 +25,6 @@ def _initial() -> DbState:
 @pytest.fixture
 def store():
     return MvccStore.from_state(_initial())
-
-
-@pytest.fixture
-def legacy():
-    return LegacyVersionedStore.from_state(_initial())
 
 
 class TestInitialisation:
@@ -235,46 +229,3 @@ class TestMaterialisedViews:
         store.stamp_item(5, "x", 7)  # uncommitted
         assert store.public_state(committed_only=True).read_item("x") == 1
         assert store.public_state(committed_only=False).read_item("x") == 7
-
-
-class TestLegacyStore:
-    """The frozen pre-MVCC store keeps its contract (incl. the rid index)."""
-
-    def test_write_and_undo_item(self, legacy):
-        old = legacy.write_item("x", 9)
-        assert legacy.read_item("x") == 9
-        legacy.undo_item("x", old)
-        assert legacy.read_item("x") == 1
-
-    def test_insert_find_is_indexed(self, legacy):
-        rid = legacy.insert_row("T", {"k": 3})
-        assert legacy._row_index["T"][rid] is legacy.find_row("T", rid)
-
-    def test_delete_and_undo_maintain_index(self, legacy):
-        rid = next(iter(legacy.rows("T")))[RID]
-        row = legacy.delete_row("T", rid)
-        assert rid not in legacy._row_index["T"]
-        legacy.undo_delete("T", row)
-        assert legacy.find_row("T", rid)["k"] == 1
-
-    def test_update_row_uses_index(self, legacy):
-        rid = next(iter(legacy.rows("T")))[RID]
-        old = legacy.update_row("T", rid, {"k": 42})
-        assert legacy.find_row("T", rid)["k"] == 42
-        legacy.undo_update("T", rid, old)
-        assert legacy.find_row("T", rid)["k"] == 1
-
-    def test_delete_unknown_rid_raises(self, legacy):
-        with pytest.raises(EngineError):
-            legacy.delete_row("T", 999)
-
-    def test_reflect_commit(self, legacy):
-        legacy.write_item("x", 5)
-        legacy.reflect_commit([("item", "x", 5)])
-        assert legacy.committed.read_item("x") == 5
-        assert legacy.version_of(("item", "x")) == 1
-
-    def test_snapshot_is_isolated_copy(self, legacy):
-        snap = legacy.snapshot()
-        legacy.write_item("x", 100)
-        assert snap.read_item("x") == 1

@@ -7,12 +7,18 @@ census) and the set of semantic-violation summaries must be identical to
 what the unpruned DFS reaches.  The small scenarios and three of the
 three-instance workloads finish unpruned under the run budget; the three
 SNAPSHOT workloads do not, so their optimal census is pinned instead.
+
+Every schedule either explorer completes must also pass its level's
+client-centric isolation axiom (:mod:`repro.sched.isolation`): the rows
+run every instance at one level, so the engine is checked against an
+oracle that shares none of its code on each explored history.
 """
 
 import pytest
 
 from repro.pipeline.scenarios import scenarios_for
 from repro.sched.explore import explore
+from repro.sched.isolation import schedule_violations
 from repro.sched.semantic import check_semantic_correctness
 
 SMALL = [
@@ -85,6 +91,8 @@ def run(scen, level, **kwargs):
         scen.initial(), scen.specs(levels), retry=True, max_schedules=50_000,
         on_schedule=schedules.append, **kwargs,
     )
+    for schedule in schedules:
+        assert schedule_violations(schedule) == [], schedule.script
     return result, schedules
 
 

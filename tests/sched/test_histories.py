@@ -125,40 +125,6 @@ class TestScriptedAbort:
         assert values == [1, 0]  # the classic dirty read of doomed data
 
 
-class TestReplayViaPolicy:
-    """replay() and replay_via_policy() must agree byte for byte."""
-
-    CASES = [
-        ("w1[x=1] r2[x] c1 c2", {1: RU, 2: RU}),
-        ("w1[x=1] r2[x] c1 c2", {1: RC, 2: RC}),
-        ("r1[x] r2[x] w2[x=2] c2 w1[x=3] c1", {1: RC, 2: RC}),
-        ("r1[x] r2[x] w2[x=2] c2 w1[x=3] c1", {1: FCW, 2: FCW}),
-        ("w1[x=1] r2[x] a1 c2", {1: RU, 2: RU}),
-        ("w1[x=1] r2[x] a1 r2[x] c2", {1: RC, 2: RC}),
-        ("w1[x=1] a1 w1[x=2]", {1: RC}),
-        (
-            "r1[acct_sav[0].bal] w2[acct_sav[0].bal=5] c2 w1[acct_sav[0].bal=9] c1",
-            {1: RC, 2: RC},
-        ),
-        ("ins1[orders:id=1,status=open] rp2[orders:status=open] c1 c2", {1: RC, 2: SER}),
-        ("ins1[orders:id=1,status=open] rp2[orders:status=open] c1 c2", {1: SER, 2: SER}),
-        ("r1[x] w1[x=7] c1", {1: SI}),
-        ("r1[x] r2[x] w1[x=1] w2[x=2] c1 c2", {1: SI, 2: SI}),
-        ("w1[x=1] w2[y=2] r1[y] r2[x] c1 c2", {1: RR, 2: RR}),
-    ]
-
-    @pytest.mark.parametrize("history,levels", CASES)
-    def test_step_outcomes_and_final_state_agree(self, history, levels):
-        from repro.sched.histories import replay_via_policy
-
-        direct = replay(history, levels)
-        via_policy = replay_via_policy(history, levels)
-        directly = [(s.token, s.status, s.value, s.detail) for s in direct.steps]
-        policied = [(s.token, s.status, s.value, s.detail) for s in via_policy.steps]
-        assert directly == policied
-        assert direct.final.same_as(via_policy.final)
-
-
 class TestHistoryRendering:
     def test_item_history_round_trips(self):
         from repro.sched.histories import history_string

@@ -1,15 +1,19 @@
-"""Unit tests for the conflict-serializability checker."""
+"""Serializability of simulated schedules, judged by the SERIALIZABLE axiom.
 
-import random
-
-import pytest
+Each committed transaction's reads must be served by the state just
+before its commit (:mod:`repro.sched.isolation`).  The lost update and the
+write skew are the two dependency cycles the test must reject.
+"""
 
 from repro.core.program import Read, TransactionType, Write
 from repro.core.state import DbState
 from repro.core.terms import Item, Local
-from repro.engine.deadlock import find_cycle
-from repro.sched.serializability import _topological_order, check_conflict_serializability
+from repro.sched.isolation import isolation_violations, schedule_violations
 from repro.sched.simulator import InstanceSpec, Simulator
+
+
+def ser_violations(result) -> list:
+    return isolation_violations(result.initial, result.history, "SERIALIZABLE")
 
 
 def incrementer(item):
@@ -19,11 +23,6 @@ def incrementer(item):
     )
 
 
-def reader_two(items):
-    body = tuple(Read(Local(f"v{i}"), Item(item)) for i, item in enumerate(items))
-    return TransactionType(name="Reader", body=body)
-
-
 class TestSerializable:
     def test_sequential_schedule_serializable(self):
         specs = [
@@ -31,9 +30,7 @@ class TestSerializable:
             InstanceSpec(incrementer("x"), {}, "READ COMMITTED", "B"),
         ]
         result = Simulator(DbState(items={"x": 0}), specs, script=[0, 0, 0, 1, 1, 1]).run()
-        report = check_conflict_serializability(result)
-        assert report.serializable
-        assert report.serial_order is not None
+        assert ser_violations(result) == []
 
     def test_disjoint_items_serializable(self):
         specs = [
@@ -41,7 +38,7 @@ class TestSerializable:
             InstanceSpec(incrementer("y"), {}, "READ COMMITTED", "B"),
         ]
         result = Simulator(DbState(items={"x": 0, "y": 0}), specs, script=[0, 1, 0, 1, 0, 1]).run()
-        assert check_conflict_serializability(result).serializable
+        assert ser_violations(result) == []
 
     def test_serializable_levels_always_serializable(self):
         specs = [
@@ -50,7 +47,7 @@ class TestSerializable:
         ]
         for seed in range(5):
             result = Simulator(DbState(items={"x": 0}), specs, seed=seed, retry=True).run()
-            assert check_conflict_serializability(result).serializable
+            assert schedule_violations(result) == []
 
 
 class TestNonSerializable:
@@ -61,9 +58,10 @@ class TestNonSerializable:
         ]
         # both read before either writes: rw edges both ways
         result = Simulator(DbState(items={"x": 0}), specs, script=[0, 1, 0, 0, 1, 1]).run()
-        report = check_conflict_serializability(result)
-        assert not report.serializable
-        assert report.cycle is not None
+        (violation,) = ser_violations(result)
+        # B read x=0, but A's commit left x=1 before B's
+        assert "reads {x=0}" in violation and "holds {x=1}" in violation
+        assert schedule_violations(result) == []  # READ COMMITTED admits it
 
     def test_write_skew_cycle_detected(self):
         from repro.apps import banking
@@ -74,8 +72,9 @@ class TestNonSerializable:
             InstanceSpec(banking.WITHDRAW_CH, {"i": 0, "w": 1}, "SNAPSHOT", "T2"),
         ]
         result = Simulator(init, specs, script=[0, 0, 1, 1, 0, 1, 0, 1, 0, 1]).run()
-        report = check_conflict_serializability(result)
-        assert not report.serializable
+        assert len(result.committed) == 2
+        assert ser_violations(result)
+        assert schedule_violations(result) == []  # SNAPSHOT admits it
 
     def test_aborted_transactions_excluded(self):
         specs = [
@@ -83,29 +82,7 @@ class TestNonSerializable:
             InstanceSpec(incrementer("x"), {}, "READ COMMITTED", "B"),
         ]
         result = Simulator(DbState(items={"x": 0}), specs, script=[0, 1, 0, 1, 1, 1]).run()
-        report = check_conflict_serializability(result)
         # only B committed; a single transaction is trivially serializable
-        assert report.serializable
+        assert [o.name for o in result.committed] == ["B"]
+        assert ser_violations(result) == []
 
-
-def test_cycle_and_serial_order_match_networkx():
-    """Random precedence graphs: the same cycle, or the same Kahn order."""
-    nx = pytest.importorskip("networkx")
-    rng = random.Random(11)
-    for _trial in range(300):
-        nodes = rng.sample(range(10), rng.randint(1, 7))
-        graph = {node: {} for node in nodes}
-        reference = nx.DiGraph()
-        reference.add_nodes_from(nodes)
-        for _edge in range(rng.randint(0, 10)):
-            a, b = rng.choice(nodes), rng.choice(nodes)
-            if a != b:
-                graph[a][b] = None
-                reference.add_edge(a, b)
-        try:
-            expected = [edge[0] for edge in nx.find_cycle(reference)]
-        except nx.NetworkXNoCycle:
-            expected = None
-        assert find_cycle(graph) == expected
-        if expected is None:
-            assert _topological_order(graph) == list(nx.topological_sort(reference))

@@ -7,6 +7,7 @@ from repro.core.program import Read, TransactionType, Write
 from repro.core.state import DbState
 from repro.core.terms import Item, Local, LogicalVar
 from repro.errors import ScheduleError
+from repro.sched.policy import ReplayPolicy
 from repro.sched.simulator import InstanceSpec, Simulator
 
 
@@ -101,13 +102,17 @@ class TestWouldBlockRetry:
             InstanceSpec(incrementer(), {}, "READ COMMITTED", "A"),
             InstanceSpec(incrementer(), {}, "READ COMMITTED", "B"),
         ]
-        sim = Simulator(
-            DbState(items={"x": 0}), specs, script=[0, 0, 1], seed=3, collect_trace=True
-        )
-        sim.run()
-        blocked = [event for event in sim.trace if event.kind == "blocked"]
-        assert blocked and blocked[0].index == 1
-        assert blocked[0].blockers  # the blocking txn is named
+        # A reads x and takes its long write lock; every turn B then gets
+        # retries the same blocked read, and the script ends before A commits
+        policy = ReplayPolicy([0, 0, 1, 1, 1], on_exhausted="stop")
+        result = Simulator(DbState(items={"x": 0}), specs, policy=policy).run()
+        assert result.stats["waits"] == 3
+        assert result.script == [0, 0, 1, 1, 1]
+        # B began but never ran its read, so its program did not advance
+        b_id = result.outcome_by_name("B").txn_ids[0]
+        assert [op.kind for op in result.history if op.txn_id == b_id] == ["begin"]
+        assert result.outcome_by_name("B").status == "incomplete"
+        assert result.final.read_item("x") == 0
 
     def test_ghost_rebinds_to_observed_value_after_blocking(self):
         """The logical-variable snapshot follows the observed read, not the

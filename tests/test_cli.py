@@ -393,14 +393,14 @@ class TestRemovedFanOutFlags:
         )
 
     def test_cold_cli_import_leaves_networkx_out(self):
-        """The waits-for and precedence graphs are plain dicts, so neither
-        the CLI nor the simulator behind it imports networkx (it cost
-        ~125 ms of every cold start)."""
+        """The waits-for graph is a plain dict, so neither the CLI nor the
+        simulator and isolation checker behind it imports networkx (it
+        cost ~125 ms of every cold start)."""
         self._fresh_import_check(
             """
             import sys
             import repro.cli, repro.pipeline.jobs, repro.core.interference
-            import repro.sched.simulator, repro.sched.serializability
+            import repro.sched.simulator, repro.sched.isolation
             assert "networkx" not in sys.modules, "networkx imported"
             """
         )

@@ -8,7 +8,7 @@ These cover the algebraic laws everything else leans on:
 * whole-transaction symbolic stores agree with concrete runs;
 * engine aborts restore the pre-transaction state exactly;
 * serial engine execution agrees with the direct interpreter;
-* two-phase-locked (SERIALIZABLE) schedules are conflict-serializable.
+* two-phase-locked (SERIALIZABLE) schedules pass the SERIALIZABLE axiom.
 """
 
 import random
@@ -315,9 +315,9 @@ def test_serial_engine_run_matches_interpreter(initial, bump):
 
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=30, deadline=None)
-def test_serializable_schedules_are_conflict_serializable(seed):
+def test_serializable_schedules_pass_the_ser_axiom(seed):
     from repro.core.program import Read, TransactionType, Write
-    from repro.sched.serializability import check_conflict_serializability
+    from repro.sched.isolation import schedule_violations
     from repro.sched.simulator import InstanceSpec, Simulator
 
     def rw(read_item, write_item):
@@ -336,7 +336,7 @@ def test_serializable_schedules_are_conflict_serializable(seed):
     ]
     initial = DbState(items={"x": 0, "y": 0, "z": 0})
     result = Simulator(initial, specs, seed=seed, retry=True).run()
-    assert check_conflict_serializability(result).serializable
+    assert schedule_violations(result) == []
 
 
 # ---------------------------------------------------------------------------

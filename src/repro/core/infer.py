@@ -23,11 +23,11 @@ the transaction *programs alone*, in three passes:
    attaches to a transaction only when the transaction writes resources the
    candidate mentions, or relies on it through its reads.
 
-3. **Counterexample-guided refinement (CEGIS).**  The DPOR explorer
-   (:func:`repro.sched.explore.invariant_oracle`) runs small instance sets
-   at SERIALIZABLE from candidate-satisfying initial states; any candidate
-   violated by an observed schedule is *demoted* (it is not preserved by
-   the transactions, hence not an invariant) and the loop re-runs until a
+3. **Counterexample-guided refinement (CEGIS).**  The oracle
+   (:func:`invariant_oracle`) runs every serial order of small instance
+   sets from candidate-satisfying initial states; any candidate violated
+   by a serial run's final state is *demoted* (it is not preserved by the
+   transactions, hence not an invariant) and the loop re-runs until a
    fixpoint.
 
 Soundness caveats (see ``docs/INFERENCE.md``): the templates are
@@ -600,17 +600,59 @@ def synthesize_candidates(app: Application) -> list:
 
 
 # ---------------------------------------------------------------------------
-# CEGIS refinement against the DPOR oracle
+# CEGIS refinement against the serial oracle
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class CegisTrace:
-    """What the refinement loop did, for the report."""
+    """What the refinement loop did, for the report.
+
+    ``schedules`` counts the serial runs the oracle checked (one per
+    order of each instance set).
+    """
 
     rounds: int = 0
     schedules: int = 0
     demoted: list = field(default_factory=list)  # (candidate name, reason)
+
+
+def invariant_oracle(initial, specs: list, predicates: dict) -> tuple:
+    """Check candidate invariants on every serial order of ``specs``.
+
+    ``predicates`` maps candidate names to ``final_state -> bool``
+    callables.  Each order (in :func:`itertools.permutations` order) runs
+    once, alone, from ``initial``; its final state is checked against every
+    still-standing predicate, and a predicate that fails (or raises) is
+    *violated* — the run is a counterexample showing the instance set does
+    not preserve the candidate.  This is exact at SERIALIZABLE: under the
+    SER axiom of :mod:`repro.sched.isolation` every read is served by the
+    state just before its transaction's commit, so any SERIALIZABLE
+    interleaving ends in the serial final state of its commit order.
+
+    Returns ``({name: witness}, runs)``, ``witness`` being the committed
+    instance labels of the falsifying run in commit order.
+    """
+    from repro.sched.policy import SerialPolicy
+    from repro.sched.simulator import Simulator
+
+    violations: dict = {}
+    standing = dict(predicates)
+    runs = 0
+    for order in itertools.permutations(range(len(specs))):
+        result = Simulator(
+            initial.copy(), specs, retry=True, max_steps=20_000, policy=SerialPolicy(order)
+        ).run()
+        runs += 1
+        for name in list(standing):
+            try:
+                ok = standing[name](result.final)
+            except Exception:
+                ok = False
+            if not ok:
+                violations[name] = tuple(outcome.name for outcome in result.committed)
+                del standing[name]
+    return violations, runs
 
 
 def _instance_pool(app: Application, rng: random.Random, cap_per_type: int) -> list:
@@ -637,18 +679,15 @@ def refine_candidates(
     seed: int = 0,
     state_cap: int = 8,
     pair_cap: int = 14,
-    max_schedules: int = 24,
     max_rounds: int = 6,
 ) -> tuple:
-    """Demote candidates violated by explored SERIALIZABLE schedules.
+    """Demote candidates violated by serial runs of small instance sets.
 
     Initial states are drawn from the application's domain spec, filtered
     to states satisfying every *surviving* candidate — the CEGIS contract:
     an invariant must be preserved from any state where it holds.  Returns
     ``(surviving candidates, CegisTrace)``.
     """
-    from repro.sched.explore import invariant_oracle
-
     trace = CegisTrace()
     if app.spec is None or not candidates:
         return list(candidates), trace
@@ -686,13 +725,8 @@ def refine_candidates(
                 }
                 if not predicates:
                     break
-                violations = invariant_oracle(
-                    state.fork() if hasattr(state, "fork") else state,
-                    specs,
-                    predicates,
-                    max_schedules=max_schedules,
-                )
-                trace.schedules += violations.pop("__schedules__", 0)
+                violations, runs = invariant_oracle(state, specs, predicates)
+                trace.schedules += runs
                 for name, witness in violations.items():
                     demoted_now.add(name)
                     trace.demoted.append((name, witness))
@@ -1263,7 +1297,6 @@ def infer_application(
     seed: int = 0,
     max_loop_unroll: int = 2,
     cegis: bool = True,
-    max_schedules: int = 24,
 ) -> tuple:
     """Derive annotations for (a stripped copy of) ``app``.
 
@@ -1275,9 +1308,7 @@ def infer_application(
     trends = scalar_trends(stripped)
     candidates = synthesize_candidates(stripped)
     if cegis:
-        survivors, trace = refine_candidates(
-            stripped, candidates, seed=seed, max_schedules=max_schedules
-        )
+        survivors, trace = refine_candidates(stripped, candidates, seed=seed)
     else:
         survivors, trace = list(candidates), CegisTrace()
 

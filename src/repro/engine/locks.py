@@ -47,10 +47,10 @@ class WouldBlock(Exception):
     attempt probed and the mode it wanted) so schedule analyses — notably
     the DPOR race detector — can treat a blocked attempt as an access on
     that granule instead of re-deriving the conflict from lock-table
-    reprs.  They are ``None`` for legacy raisers that predate the field.
+    reprs.
     """
 
-    def __init__(self, blockers: set, key: tuple | None = None, mode: str | None = None) -> None:
+    def __init__(self, blockers: set, key: tuple, mode: str) -> None:
         super().__init__(f"blocked by transactions {sorted(blockers)}")
         self.blockers = set(blockers)
         self.key = key

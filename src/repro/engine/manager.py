@@ -146,7 +146,7 @@ class Engine:
 
     def _commit_snapshot(self, txn: Txn) -> None:
         snap = txn.snapshot
-        for key in txn.write_set:
+        for key in sorted(txn.write_set):
             if self.store.changed_since(key, snap):
                 self.abort(txn, reason=f"first-committer-wins on {key}")
                 raise FirstCommitterWinsAbort(txn.txn_id, str(key))

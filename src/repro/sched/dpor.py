@@ -68,7 +68,7 @@ from repro.sched.policy import DEPENDENT, ORDER_GRANULE, StepRecord, _resource
 
 #: Wildcard granule: conflicts with every other granule.  Used for the
 #: rare steps whose exact footprint is not worth deriving (FCW/guard-veto
-#: aborts, legacy blocked attempts without a key).
+#: aborts, history ops without a key).
 ANY_GRANULE = ("*",)
 
 #: Access kind of a blocked lock attempt: conflicts with reads and writes
@@ -408,7 +408,7 @@ class RaceAnalyzer:
                     acc.add((_resource(op.key), op.kind != "r"))
         if record.blocked_on is not None:
             key, _mode = record.blocked_on
-            acc.add((ANY_GRANULE if key is None else _resource(key), PROBE))
+            acc.add((_resource(key), PROBE))
         return frozenset(acc)
 
     def online_signature(self, runtime, ops, record=None) -> frozenset:

@@ -338,54 +338,3 @@ def explore(
         on_schedule=on_schedule,
         engine_opts=engine_opts,
     ).run()
-
-def invariant_oracle(
-    initial: DbState,
-    specs: Sequence[InstanceSpec],
-    predicates: dict,
-    *,
-    max_schedules: int | None = 64,
-    max_steps: int = 20_000,
-) -> dict:
-    """Run the explorer as a CEGIS oracle for candidate invariants.
-
-    ``predicates`` maps candidate names to ``final_state -> bool``
-    callables.  Every completed schedule's final database state is checked
-    against every still-standing predicate; a predicate that fails on any
-    final state is *violated* — the schedule is a counterexample showing
-    the instance set does not preserve the candidate.
-
-    Returns ``{name: witness}`` for each violated predicate (``witness`` is
-    the committed-transaction order of the falsifying schedule) plus the
-    bookkeeping key ``"__schedules__"`` counting schedules examined.
-    Violated predicates stop being evaluated immediately, so the oracle
-    stays cheap once a candidate is doomed.
-    """
-    violations: dict = {}
-    standing = dict(predicates)
-    examined = [0]
-
-    def check(schedule_result) -> None:
-        examined[0] += 1
-        final = schedule_result.final
-        for name in list(standing):
-            try:
-                ok = standing[name](final)
-            except Exception:
-                ok = False
-            if not ok:
-                violations[name] = tuple(
-                    getattr(outcome, "name", repr(outcome))
-                    for outcome in schedule_result.committed
-                )
-                del standing[name]
-
-    explore(
-        initial,
-        specs,
-        max_schedules=max_schedules,
-        max_steps=max_steps,
-        on_schedule=check,
-    )
-    violations["__schedules__"] = examined[0]
-    return violations

@@ -14,10 +14,12 @@ stops the run (the schedule stays incomplete).  A policy may also define
 step with the slice of engine history the step produced — the hook the
 exhaustive policy uses to learn conflict information.
 
-Three policies:
+Four policies:
 
 * :class:`RandomPolicy` — the seeded uniformly-random picker used by the
   statistical validation sweeps (prefers unblocked instances);
+* :class:`SerialPolicy` — one serial execution in a given instance order
+  (inference's CEGIS oracle runs each serial order once);
 * :class:`ReplayPolicy` — an explicit script of instance indices, one per
   step, for reproducing exact anomaly interleavings (this subsumes the
   history-DSL replay in :mod:`repro.sched.histories`);
@@ -56,6 +58,17 @@ class RandomPolicy(SchedulePolicy):
         unblocked = [rt for rt in active if not rt.blocked]
         pool = unblocked or active
         return pool[self.rng.randrange(len(pool))]
+
+
+class SerialPolicy(SchedulePolicy):
+    """Run the instances one after another in ``order`` (a permutation of
+    the instance indices): always step the earliest unfinished one."""
+
+    def __init__(self, order: Sequence[int]) -> None:
+        self.rank = {index: position for position, index in enumerate(order)}
+
+    def choose(self, active, simulator):
+        return min(active, key=lambda rt: self.rank[rt.index])
 
 
 class ReplayPolicy(SchedulePolicy):

@@ -14,11 +14,14 @@ the frozen pre-MVCC engine it replaced:
   live and committed states after every step, and the final history op
   for op — ``HistoryOp.version`` included, since recorded histories are
   replayed and compared byte for byte elsewhere in the pipeline.  The
-  MVCC engine alone must reproduce all of it.  The seeded workloads
-  replay in an interpreter under the same hash seed: a SNAPSHOT commit
-  validates its write set in set order, so which key it names can
-  follow string hashing (see
-  :func:`test_snapshot_commit_names_the_same_key_under_any_hash_seed`).
+  MVCC engine alone must reproduce all of it, except ``seed:254``:
+  it was re-recorded from the MVCC engine when SNAPSHOT commits began
+  validating their write set in sorted key order (under hash seed 0 the
+  old set order named ``('row', 'T', 2)`` where sorted order names
+  ``('item', 'y')``).  The seeded workloads replay in an interpreter
+  under the recorded hash seed;
+  :func:`test_snapshot_commit_names_the_same_key_under_any_hash_seed`
+  checks that the key a commit names no longer follows string hashing.
 * **Isolation axioms.**  A hypothesis property runs random workloads with
   every transaction at one level and requires the committed history to
   pass that level's client-centric commit test
@@ -35,7 +38,6 @@ import random
 import subprocess
 import sys
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.state import DbState
@@ -334,13 +336,6 @@ def test_seeded_workloads_match_the_golden():
     assert run.returncode == 0, run.stderr[-3000:]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="Engine._commit_snapshot checks txn.write_set, a set, in iteration"
-    " order, which follows string hashing: under another PYTHONHASHSEED a"
-    " commit's FirstCommitterWinsAbort (seed 223) or WouldBlock (seed 254)"
-    " names a different key than the golden",
-)
 def test_snapshot_commit_names_the_same_key_under_any_hash_seed():
     for hash_seed, seed in (("3", 223), ("1", 254)):
         run = _under_hash_seed(f"t.check_seeded_workloads([{seed}])", hash_seed)

@@ -512,7 +512,7 @@ def _random_run(rng, instances: int) -> list:
                 key = rng.choice(_KEYS + (None,))
                 ops.append(op(kind, txn_id=txn, key=key))
             if rng.random() < 0.1:
-                blocked_on = (rng.choice(_KEYS + (None,)), "X")
+                blocked_on = (rng.choice(_KEYS), "X")
         elif shape == "commit":
             # a commit step may carry accesses its transaction's run
             # footprint lacks: a begin's ghost reads, a keyless op, a probe
@@ -526,7 +526,7 @@ def _random_run(rng, instances: int) -> list:
                 op("abort", txn_id=txn, reason=rng.choice(_REASONS), writes=keys(), reads=keys())
             )
         elif shape == "blocked":
-            blocked_on = (rng.choice(_KEYS + (None,)), "X")
+            blocked_on = (rng.choice(_KEYS), "X")
         record = step(depth, index, ops, txn_id=txn, level=levels[index], blocked_on=blocked_on)
         if rng.random() < 0.05:
             record.txn_id = None  # a step taken before the instance began

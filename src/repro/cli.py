@@ -54,7 +54,12 @@ import sys
 
 from repro.core.cache import VerdictCache, shared_cache
 from repro.core.conditions import LEVEL_ORDER
-from repro.core.report import analysis_stats_table, failure_details, level_table
+from repro.core.report import (
+    abstract_predicate_note,
+    analysis_stats_table,
+    failure_details,
+    level_table,
+)
 from repro.errors import ReproError
 
 #: Uniform exit codes (see module docstring and docs/SERVICE.md).
@@ -190,6 +195,10 @@ def cmd_analyze(args) -> int:
         print(json.dumps({**job.payload, **job.extras}, indent=2))
         return job.exit_code
     print(level_table(job.report))
+    note = abstract_predicate_note(job.report)
+    if note:
+        print()
+        print(note)
     if args.snapshot:
         print()
         for check in job.report.snapshot_checks:

@@ -45,9 +45,11 @@ model checking.
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass, field
 
 from repro.core.formula import (
+    AbstractPred,
     And,
     BoolAtom,
     Bottom,
@@ -88,15 +90,16 @@ from repro.core.program import (
     Write,
 )
 from repro.core.prover import simplify, simplify_term
-from repro.core.resources import TableResource
+from repro.core.resources import ArrayResource, ScalarResource, TableResource, overlaps
 from repro.core.sp import fresh_logical
 from repro.core.terms import Add, Field, IntConst, Item, Local, Mul, Neg, Sub, Term
 
 #: Version of the tier-2 effect semantics; part of the persistent
 #: verdict-store salt (:func:`repro.core.persist.store_salt`), so verdicts
-#: decided before relational effects existed, or while unexhausted loops
-#: were cut at the unroll bound, are never loaded.
-EFFECTS_VERSION = "3"
+#: decided before relational effects existed, while unexhausted loops were
+#: cut at the unroll bound, or before nested quantifiers and SELECT COUNT
+#: facts were carried, are never loaded.
+EFFECTS_VERSION = "4"
 
 #: Default loop-unroll bound for symbolic execution.
 DEFAULT_UNROLL = 2
@@ -125,6 +128,9 @@ class SymbolicPath:
     effects: list = field(default_factory=list)
     #: whether the path executed a relational statement
     relational: bool = False
+    #: relational write statement -> ``(store, condition, effect)`` just
+    #: before it (``symbolic_paths(..., dirty_reads=True)`` only)
+    marks: dict = field(default_factory=dict)
 
     def fork(self, condition: Formula | None = None, env: dict | None = None) -> "SymbolicPath":
         """A copy sharing nothing mutable with this path."""
@@ -135,6 +141,7 @@ class SymbolicPath:
             dict(self.env) if env is None else env,
             list(self.effects),
             self.relational,
+            dict(self.marks),
         )
 
 
@@ -167,7 +174,26 @@ class TableEffect:
 
 
 class _Unsupported(Exception):
-    """Internal: the body left the symbolically-executable fragment."""
+    """Internal: the body left the symbolically-executable fragment.
+
+    ``args[0]`` is a short reason shared by every instance of one gap (the
+    key of ``analyze --stats``' census); ``args[1]``, when present, is the
+    offending node.
+    """
+
+
+#: The reason the latest call of this thread that answered None gave up
+#: (see :func:`declined`).
+_latest = threading.local()
+
+
+def declined() -> str:
+    """Why the latest effects call of this thread returned None."""
+    return getattr(_latest, "reason", "")
+
+
+def _decline(reason: str) -> None:
+    _latest.reason = reason
 
 
 def _resolve(term: Term, env: dict) -> Term:
@@ -187,7 +213,7 @@ def _lookup(store_writes: list, location: Term) -> Term | None:
         if target == location:
             return value
         if _may_alias(target, location) is None:
-            raise _Unsupported(f"ambiguous aliasing between {target!r} and {location!r}")
+            raise _Unsupported("ambiguous aliasing", f"{target!r} / {location!r}")
     return None
 
 
@@ -214,6 +240,7 @@ def symbolic_paths(
     txn: TransactionType,
     unroll: int = DEFAULT_UNROLL,
     context: Formula | None = None,
+    dirty_reads: bool = False,
 ) -> list | None:
     """All execution paths of a body, or None.
 
@@ -221,12 +248,34 @@ def symbolic_paths(
     transaction's logical variables are conjoined as well, giving ``Q``-style
     assertions access to initial values.  INSERT, DELETE and UPDATE append a
     :class:`TableEffect` to the path; SELECTs bind a fresh opaque value.
+
+    With ``dirty_reads`` the body runs among other transactions' writes:
+    a read of a location the path has not written binds a fresh value, not
+    the entry state's, and the condition holds only what stays true of
+    those values (the parameter precondition, branch guards, non-negative
+    counts).  Each relational write statement is then marked with the
+    path's store, condition and effect just before it (``marks``).
     """
-    base = conj(
-        txn.consistency if context is None else context,
-        txn.param_pre if context is None else TRUE,
-        *(eq(logical, term) for logical, term in txn.snapshot),
-    )
+    if dirty_reads:
+        base = txn.param_pre
+    else:
+        base = conj(
+            txn.consistency if context is None else context,
+            txn.param_pre if context is None else TRUE,
+            *(eq(logical, term) for logical, term in txn.snapshot),
+        )
+
+    def read(location: Term, path: SymbolicPath) -> Term:
+        prior = _lookup(path.writes, location)
+        if prior is not None:
+            return prior
+        return fresh_logical(location.sort) if dirty_reads else location
+
+    def guarded(cond: Formula, path: SymbolicPath) -> Formula:
+        guard = simplify(cond.substitute(path.env))
+        if dirty_reads and (guard.resources() or not guard.projectable()):
+            raise _Unsupported("guard reads the database", guard)
+        return guard
     paths: list[SymbolicPath] = []
     has_loop = any(isinstance(stmt, While) for stmt in txn.statements())
 
@@ -238,19 +287,15 @@ def symbolic_paths(
             return
         stmt, rest = stmts[0], stmts[1:]
         if isinstance(stmt, Read):
-            resolved = _resolve(stmt.source, path.env)
-            prior = _lookup(path.writes, resolved)
             new_env = dict(path.env)
-            new_env[stmt.into] = prior if prior is not None else resolved
+            new_env[stmt.into] = read(_resolve(stmt.source, path.env), path)
             run(rest, path.fork(env=new_env))
             return
         if isinstance(stmt, ReadRecord):
             new_env = dict(path.env)
             index = _resolve(stmt.index, path.env)
             for attr, local in stmt.binds:
-                resolved = Field(stmt.array, index, attr, local.var_sort)
-                prior = _lookup(path.writes, resolved)
-                new_env[local] = prior if prior is not None else resolved
+                new_env[local] = read(Field(stmt.array, index, attr, local.var_sort), path)
             run(rest, path.fork(env=new_env))
             return
         if isinstance(stmt, LocalAssign):
@@ -271,21 +316,27 @@ def symbolic_paths(
                 if alias is True:
                     del forked.store[key]
                 elif alias is None:
-                    raise _Unsupported(f"possibly-aliasing writes {key!r} / {target!r}")
+                    raise _Unsupported("possibly-aliasing writes", f"{key!r} / {target!r}")
             forked.store[target] = value
             run(rest, forked)
             return
         if isinstance(stmt, (Select, SelectScalar, SelectCount)):
             new_env = dict(path.env)
-            new_env[stmt.into] = fresh_logical(stmt.into.var_sort)
+            value = new_env[stmt.into] = fresh_logical(stmt.into.var_sort)
             forked = path.fork(env=new_env)
             forked.relational = True
+            if isinstance(stmt, SelectCount):
+                facts = _count_facts(stmt, value, path, entry_state=not dirty_reads)
+                forked.condition = conj(forked.condition, *facts)
             run(rest, forked)
             return
         if isinstance(stmt, (Insert, Delete, Update)):
             forked = path.fork()
             forked.relational = True
-            forked.effects.append(_table_effect(stmt, path.env))
+            effect = _table_effect(stmt, path.env)
+            forked.effects.append(effect)
+            if dirty_reads:
+                forked.marks[stmt] = (dict(path.store), path.condition, effect)
             run(rest, forked)
             return
         if isinstance(stmt, ForEach):
@@ -295,7 +346,7 @@ def symbolic_paths(
             forked.relational = True
             for inner in stmt.body:
                 if not isinstance(inner, Update):
-                    raise _Unsupported(f"row-buffer loop body outside UPDATE: {inner!r}")
+                    raise _Unsupported("row-buffer loop body outside UPDATE", inner)
                 attrs = tuple(attr for attr, _term in inner.sets)
                 forked.effects.append(TableEffect(HAVOC, inner.table, attrs))
             for _attr, local in stmt.bind:
@@ -303,7 +354,7 @@ def symbolic_paths(
             run(rest, forked)
             return
         if isinstance(stmt, If):
-            guard = simplify(stmt.cond.substitute(path.env))
+            guard = guarded(stmt.cond, path)
             for branch, taken in ((stmt.then, guard), (stmt.orelse, Not(guard))):
                 branch_cond = simplify(conj(path.condition, taken))
                 if isinstance(branch_cond, Bottom):
@@ -324,24 +375,55 @@ def symbolic_paths(
                 run(unrolled + rest, path.fork())
             return
         if isinstance(stmt, _Guard):
-            guard = simplify(stmt.cond.substitute(path.env))
+            guard = guarded(stmt.cond, path)
             cond = simplify(conj(path.condition, guard))
             if stmt.exhausted:
                 if not isinstance(cond, Bottom):
-                    raise _Unsupported(f"loop may run past {unroll} iterations: {guard!r}")
+                    raise _Unsupported("loop may run past the unroll bound", guard)
                 run(rest, path)
                 return
             if isinstance(cond, Bottom):
                 return
             run(rest, path.fork(condition=cond))
             return
-        raise _Unsupported(f"statement outside the symbolic fragment: {stmt!r}")
+        raise _Unsupported("statement outside the symbolic fragment", stmt)
 
     try:
         run(tuple(txn.body), SymbolicPath(condition=base))
-    except _Unsupported:
+    except _Unsupported as exc:
+        _decline(exc.args[0])
         return None
     return paths
+
+
+def _count_facts(stmt: SelectCount, value: Term, path: SymbolicPath, entry_state: bool) -> tuple:
+    """What the path knows of the count a ``SELECT COUNT`` binds to ``value``.
+
+    It is never negative; and with ``entry_state`` (the path reads the state
+    it started from), when the path has not yet written the table and the
+    WHERE clause reads nothing of the database but the row, it is the
+    ``COUNT`` term over that state.
+    """
+    facts = (Cmp(">=", value, IntConst(0)),)
+    if not entry_state or any(
+        isinstance(e, TableEffect) and e.table == stmt.table for e in path.effects
+    ):
+        return facts
+    try:
+        _check_relational(stmt.where)
+    except _Unsupported:
+        return facts
+    count = CountWhere(stmt.table, stmt.row, simplify(stmt.where.substitute(path.env)))
+    return facts + (eq(value, count),)
+
+
+def count_locals_facts(txn: TransactionType) -> Formula:
+    """``local >= 0`` for every local a ``SELECT COUNT`` of ``txn`` binds."""
+    return conj(*(
+        Cmp(">=", stmt.into, IntConst(0))
+        for stmt in txn.statements()
+        if isinstance(stmt, SelectCount)
+    ))
 
 
 def _check_relational(*nodes) -> None:
@@ -357,7 +439,7 @@ def _check_relational(*nodes) -> None:
         else:
             reads = any(isinstance(atom, (Item, Field, CountWhere)) for atom in node.atoms())
         if reads:
-            raise _Unsupported(f"relational statement reads the database: {node!r}")
+            raise _Unsupported("relational statement reads the database", node)
 
 
 def _table_effect(stmt: Statement, env: dict) -> TableEffect:
@@ -382,10 +464,12 @@ def statement_effect(stmt: Statement) -> TableEffect | None:
     clauses read the database directly.
     """
     if not isinstance(stmt, (Insert, Delete, Update)):
+        _decline("statement outside the symbolic fragment")
         return None
     try:
         return _table_effect(stmt, {})
-    except _Unsupported:
+    except _Unsupported as exc:
+        _decline(exc.args[0])
         return None
 
 
@@ -440,8 +524,13 @@ def apply_store(assertion: Formula, store: dict) -> Formula | None:
     value when it coincides with a store key.  Array atoms that merely *may*
     alias a key produce a case split: the result is a disjunction over alias
     patterns, each conjoined with the index (dis)equalities that define it.
-    Returns None when the case split would exceed :data:`MAX_ALIAS_CASES`.
+    Returns None when the case split would exceed :data:`MAX_ALIAS_CASES`,
+    or when an abstract predicate of the assertion reads a written location:
+    substitution cannot reach into its opaque evaluator.
     """
+    if store and overlaps(_opaque_reads(assertion), _written(store)):
+        _decline("abstract predicate reads a written location")
+        return None
     atom_options: list = []
     atoms = {
         atom
@@ -478,6 +567,7 @@ def apply_store(assertion: Formula, store: dict) -> Formula | None:
     for _atom, options in atom_options:
         total_cases *= len(options)
         if total_cases > MAX_ALIAS_CASES:
+            _decline("alias case split over the cap")
             return None
 
     cases: list[Formula] = []
@@ -494,6 +584,31 @@ def apply_store(assertion: Formula, store: dict) -> Formula | None:
     if not cases:
         return assertion
     return simplify(disj(*cases))
+
+
+def _opaque_reads(formula: Formula) -> frozenset:
+    """What the abstract predicates inside ``formula`` declare they read."""
+    if isinstance(formula, AbstractPred):
+        return frozenset(formula.reads)
+    if isinstance(formula, Not):
+        return _opaque_reads(formula.operand)
+    if isinstance(formula, (And, Or)):
+        return frozenset().union(*map(_opaque_reads, formula.operands))
+    if isinstance(formula, Implies):
+        return _opaque_reads(formula.premise) | _opaque_reads(formula.conclusion)
+    if isinstance(formula, (ForAllRows, ExistsRow)):
+        return _opaque_reads(formula.body) | _opaque_reads(formula.where)
+    if isinstance(formula, ForAllInts):
+        return _opaque_reads(formula.body)
+    return frozenset()
+
+
+def _written(store: dict) -> list:
+    """The resources the locations of ``store`` denote."""
+    return [
+        ScalarResource(loc.name) if isinstance(loc, Item) else ArrayResource(loc.array, loc.attr)
+        for loc in store
+    ]
 
 
 def apply_single_write(assertion: Formula, target: Term, value: Term) -> Formula | None:
@@ -519,7 +634,8 @@ def apply_table_effect(assertion: Formula, effect: TableEffect) -> Formula | Non
     """
     try:
         return simplify(_Transformer(effect).formula(assertion, True, False))
-    except _Unsupported:
+    except _Unsupported as exc:
+        _decline(exc.args[0])
         return None
 
 
@@ -559,7 +675,7 @@ def _instantiate(formula: Formula, row: str, values: tuple) -> Formula:
     mapping: dict = {}
     for attr, atoms in _row_attrs(formula, row).items():
         if attr not in by_attr:
-            raise _Unsupported(f"row attribute {row}.{attr} not among the row's values")
+            raise _Unsupported("row attribute not among the row's values", f"{row}.{attr}")
         for atom in atoms:
             mapping[atom] = by_attr[attr]
     return formula.substitute(mapping)
@@ -633,7 +749,7 @@ class _Transformer:
         self.table = effect.table
 
     def formula(self, f: Formula, positive: bool, bound: bool) -> Formula:
-        if not _touches(f, self.table):
+        if not _touches(f, self.table) or self._unchanged(f):
             return f
         if isinstance(f, Not):
             return Not(self.formula(f.operand, not positive, bound))
@@ -668,9 +784,9 @@ class _Transformer:
         if isinstance(f, ForAllInts):
             if any(isinstance(a, CountWhere) and a.table == self.table
                    for a in itertools.chain(f.low.atoms(), f.high.atoms())):
-                raise _Unsupported(f"aggregate bound in {f!r}")
+                raise _Unsupported("aggregate quantifier bound", f)
             return ForAllInts(f.var, f.low, f.high, self.formula(f.body, positive, True))
-        raise _Unsupported(f"no transformer for {f!r}")
+        raise _Unsupported(f"no transformer for {type(f).__name__}", f)
 
     def literal(self, f: Formula) -> Formula:
         """A comparison over ``COUNT`` aggregates of the table: case split."""
@@ -679,12 +795,12 @@ class _Transformer:
         if not counts or any(
             c.table != self.table and _touches(c.where, self.table) for c in tops
         ):
-            raise _Unsupported(f"literal reads the table indirectly: {f!r}")
+            raise _Unsupported("literal reads the table indirectly", f)
         effect = self.effect
         option_lists = []
         for count in counts:
             if _touches(count.where, self.table):
-                raise _Unsupported(f"nested aggregate in {count!r}")
+                raise _Unsupported("nested aggregate", count)
             if effect.kind == INSERT:
                 hit = _instantiate(count.where, count.row, effect.values)
                 options = [(Add(count, IntConst(1)), hit), (count, Not(hit))]
@@ -700,7 +816,7 @@ class _Transformer:
             elif set(_row_attrs(count.where, count.row)).isdisjoint(_changed(effect)):
                 options = [(count, TRUE)]
             else:
-                raise _Unsupported(f"UPDATE of a counted attribute in {count!r}")
+                raise _Unsupported("UPDATE of a counted attribute", count)
             option_lists.append(options)
         cases = []
         for combo in itertools.product(*option_lists):
@@ -712,10 +828,31 @@ class _Transformer:
             cases.append(conj(*(cond for _term, cond in combo), swapped))
         return disj(*cases)
 
+    def _unchanged(self, f: Formula) -> bool:
+        """Whether the effect changes no attribute ``f`` reads of the table."""
+        if self.effect.kind not in (UPDATE, HAVOC):
+            return False
+        read = {
+            res.attr
+            for res in f.resources()
+            if isinstance(res, TableResource) and res.table == self.table
+        }
+        return _changed(self.effect).isdisjoint(read)
+
     def quantifier(self, q: Formula, positive: bool, bound: bool) -> Formula:
-        """A row quantifier over the effect's table."""
+        """A row quantifier over the effect's table.
+
+        A quantifier or aggregate over the table inside ``q`` is carried
+        across first, under the binder; the rules below then read the
+        transformed matrix as one over the state before the effect.
+        """
         if _touches(q.body, self.table) or _touches(q.where, self.table):
-            raise _Unsupported(f"nested quantifier over {self.table} in {q!r}")
+            where_positive = positive if isinstance(q, ExistsRow) else not positive
+            q = type(q)(
+                q.table, q.row,
+                self.formula(q.body, positive, True),
+                self.formula(q.where, where_positive, True),
+            )
         effect, row = self.effect, q.row
         universal = isinstance(q, ForAllRows)
         matrix = implies(q.where, q.body) if universal else conj(q.where, q.body)
@@ -732,9 +869,8 @@ class _Transformer:
             # a witness survives unless it is the removed row
             return conj(q, Not(_instantiate(matrix, row, effect.values))) if positive else q
         if effect.kind == HAVOC:
-            if _changed(effect).isdisjoint(_row_attrs(matrix, row)):
-                return q
-            raise _Unsupported(f"unknown values for attributes of {q!r}")
+            # it changes an attribute the matrix reads (``formula`` kept the rest)
+            raise _Unsupported("unknown attribute values", q)
         delta = _rename_row(effect.where, effect.row, row)
         if effect.kind == DELETE:
             if universal:
@@ -753,11 +889,6 @@ class _Transformer:
         }
         moved = matrix.substitute(mapping)
         if universal:
-            if positive:
-                # every row satisfied the matrix before; an updated one must
-                # still satisfy it afterwards
-                self._need_unbound(bound, q)
-                return conj(q, _fresh_row(implies(conj(delta, matrix), moved), row))
             return ForAllRows(
                 self.table, row, conj(implies(delta, moved), implies(Not(delta), matrix))
             )
@@ -769,7 +900,7 @@ class _Transformer:
     @staticmethod
     def _need_unbound(bound: bool, q: Formula) -> None:
         if bound:
-            raise _Unsupported(f"fresh-row instance under a binder: {q!r}")
+            raise _Unsupported("fresh-row instance under a binder", q)
 
 
 def _changed(effect: TableEffect) -> set:
@@ -807,7 +938,7 @@ class EntryState:
                 isinstance(atom, (Item, Field, CountWhere, RowAttr, BoundVar))
                 for atom in location.index.atoms()
             ):
-                raise _Unsupported(f"index reads the database: {location!r}")
+                raise _Unsupported("index reads the database", location)
             symbol = self.symbols[location] = fresh_logical(location.sort)
         return symbol
 
@@ -865,21 +996,22 @@ def undo_effects(path: SymbolicPath, entry: EntryState) -> list | None:
                     out.append(TableEffect(HAVOC, effect.table, tuple(sorted(_changed(effect)))))
                     continue
                 if effect.kind != INSERT:
-                    return None
+                    raise _Unsupported("undo of a DELETE")
                 for _attr, term in effect.values:
                     for atom in term.atoms():
                         if isinstance(atom, (Item, Field)) and atom not in opaque:
                             opaque[atom] = fresh_logical(atom.sort)
                 values = tuple((attr, term.substitute(opaque)) for attr, term in effect.values)
                 if any(isinstance(atom, (Item, Field)) for _a, t in values for atom in t.atoms()):
-                    return None  # a field indexed by a database value
+                    raise _Unsupported("undone row names a field indexed by a database value")
                 out.append(TableEffect(UNINSERT, effect.table, values))
                 continue
             target, _value = effect
             if any(_may_alias(prior, target) is not False for prior in written):
-                return None
+                raise _Unsupported("undo of a location written twice")
             written.append(target)
             out.append((target, entry.value(target)))
-    except _Unsupported:
+    except _Unsupported as exc:
+        _decline(exc.args[0])
         return None
     return out

@@ -41,6 +41,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -59,7 +60,7 @@ from repro.core.program import (
     While,
     Write,
 )
-from repro.core.prover import Verdict, is_valid, simplify
+from repro.core.prover import ProofResult, Verdict, is_valid, rewrite_literals, simplify
 from repro.core.resources import overlaps
 from repro.core.sp import annotate_paths, fresh_logical
 from repro.core.state import DbState, _multiset_minus, _row_multiset
@@ -588,6 +589,10 @@ class InterferenceChecker:
         }
         #: wall seconds spent inside each tier, accumulated per check
         self.tier_times = {"disjoint": 0.0, "symbolic": 0.0, "bmc": 0.0}
+        #: why tier 2 declined, counted over the obligations that reached
+        #: BMC (``analyze --stats``); ``_reason`` holds the current one's
+        self.declined: Counter = Counter()
+        self._reason = ""
         #: optional callable(seconds) observing each *decided* obligation's
         #: wall time (cache hits are not observed); the CLI's ``--stats``
         #: wires a telemetry histogram here, the service its job metrics
@@ -597,6 +602,9 @@ class InterferenceChecker:
         #: exhaustive assignment spaces by parameter tuple (see
         #: :meth:`_assignment_space`); bounded by the application's types
         self._space_memo: dict = {}
+        #: a source's paths with dirty reads, by source (bounded by the
+        #: application's transaction types)
+        self._dirty_paths: dict = {}
         # BMC memo tables; the caps bound memory on large scans.  The
         # evaluation memo maps ``id(state)`` to ``(state, table)`` for up to
         # EVAL_MEMO_CAP states, pinning each; a table maps
@@ -687,6 +695,7 @@ class InterferenceChecker:
         Tiers 1 and 2 read only formula-scope inputs, so their verdicts are
         shared across targets; a BMC verdict depends on the target's traces.
         """
+        self._reason = "symbolic tier off" if not self.use_symbolic else "no symbolic rule"
         tiers = (
             ("disjoint", lambda: self._disjoint(assertion.formula, triple.written)),
             ("symbolic", triple.symbolic if self.use_symbolic else lambda: None),
@@ -699,7 +708,20 @@ class InterferenceChecker:
             if verdict is not None:
                 break
         self.stats["assumed" if verdict.confidence == ASSUMED else tier] += 1
+        if tier == "bmc":
+            self.declined[self._reason] += 1
         return verdict, FULL_SCOPE if tier == "bmc" else FORMULA_SCOPE
+
+    def _decline(self, reason: str | ProofResult = "") -> None:
+        """Note why tier 2 gives up on the current obligation; returns None.
+
+        ``reason`` is a prover answer that was not VALID, a short reason, or
+        empty for the reason the latest effects call gave.
+        """
+        if isinstance(reason, ProofResult):
+            reason = f"prover {reason.verdict}" + (f": {reason.reason}" if reason.reason else "")
+        self._reason = reason or fx.declined()
+        return None
 
     def _cached_states(self, rng: random.Random) -> tuple:
         """Materialise the constraint-filtered state list once per checker.
@@ -930,12 +952,12 @@ class InterferenceChecker:
                 if point.statement == stmt:
                     obligations.append((point.pre, point.exact))
         if not obligations:
-            return None
+            return self._decline("statement not on an annotated path")
         all_valid = True
         for pre, exact in obligations:
             after = fx.apply_single_write(assertion, stmt.target, stmt.value)
             if after is None:
-                return None
+                return self._decline()
             goal = implies(conj(assertion, pre, assumption), after)
             result = is_valid(goal)
             if result.verdict == Verdict.INVALID:
@@ -945,8 +967,12 @@ class InterferenceChecker:
                     "symbolic",
                     witness=Witness("symbolic", f"{stmt!r} can falsify {assertion!r}", model=result.model),
                 )
-            if result.verdict != Verdict.VALID or not exact:
+            if result.verdict != Verdict.VALID:
                 all_valid = False
+                self._decline(result)
+            elif not exact:
+                all_valid = False
+                self._decline("inexact precondition")
         if all_valid:
             return InterferenceVerdict(False, PROVED, "symbolic")
         return None
@@ -957,30 +983,52 @@ class InterferenceChecker:
     ) -> InterferenceVerdict | None:
         """Tier 2 for one INSERT, DELETE or UPDATE: a proof or nothing.
 
-        The statement's locals stay free.  At READ UNCOMMITTED the values
-        the source computed them from may have been overwritten since, so
-        only the source's entry condition, restated over entry-state
-        symbols, constrains the premise.
+        At READ UNCOMMITTED the values the source read may have been
+        overwritten since, so each path to the statement is tried with
+        those values left free (``symbolic_paths(..., dirty_reads=True)``):
+        the premise holds the path's branch guards, and every location the
+        source wrote before the statement keeps the value written, as the
+        source's write locks stay held until it ends.  Where the body has
+        no such paths, the statement's locals stay free, with only the
+        source's entry condition, restated over entry-state symbols.
         """
-        effect = fx.statement_effect(stmt)
-        if effect is None:
-            return None
-        afters = [fx.apply_table_effect(part, effect) for part in conjuncts(assertion)]
-        if None in afters:
-            return None
-        entry = fx.EntryState()
-        lifted = entry.lift(_entry_condition(source))
-        premise = conj(assertion, lifted, entry.congruence(), assumption)
-        if all(_proved(premise, after) for after in afters):
-            return InterferenceVerdict(False, PROVED, "symbolic")
-        return None
+        paths = self._dirty_paths.get(source)
+        if paths is None:
+            paths = fx.symbolic_paths(source, unroll=self.unroll, dirty_reads=True) or ()
+            self._dirty_paths[source] = paths
+        marks = [path.marks[stmt] for path in paths if stmt in path.marks]
+        if not marks:
+            effect = fx.statement_effect(stmt)
+            if effect is None:
+                return self._decline()
+            entry = fx.EntryState()
+            lifted = entry.lift(_entry_condition(source))
+            premise = conj(
+                assertion, lifted, entry.congruence(), fx.count_locals_facts(source), assumption
+            )
+            marks = [({}, premise, effect)]
+        for store, condition, effect in marks:
+            own = conj(*(eq(location, value) for location, value in store.items()))
+            if not self._carried(assertion, conj(assertion, condition, own, assumption), effect):
+                return None
+        return InterferenceVerdict(False, PROVED, "symbolic")
+
+    def _carried(self, assertion: Formula, premise: Formula, effect) -> bool:
+        """Whether ``premise`` proves each conjunct of ``assertion`` after ``effect``."""
+        for part in conjuncts(assertion):
+            after = fx.apply_table_effect(part, effect)
+            result = None if after is None else _proved(premise, after)
+            if not result:
+                self._decline("" if result is None else result)
+                return False
+        return True
 
     def _rollback_symbolic(
         self, assertion: Formula, source: TransactionType, assumption: Formula = TRUE
     ) -> InterferenceVerdict | None:
         paths = fx.symbolic_paths(source, unroll=self.unroll)
         if paths is None:
-            return None
+            return self._decline()
         if any(path.relational for path in paths):
             return self._relational_rollback(assertion, source, paths, assumption)
         for path in paths:
@@ -992,7 +1040,7 @@ class InterferenceChecker:
                 continue
             after = fx.apply_store(assertion, havoc)
             if after is None:
-                return None
+                return self._decline()
             goal = implies(conj(assertion, path.condition, assumption), after)
             result = is_valid(goal)
             if result.verdict == Verdict.INVALID:
@@ -1003,7 +1051,7 @@ class InterferenceChecker:
                     witness=Witness("rollback", f"undo of {source.name} can falsify {assertion!r}", model=result.model),
                 )
             if result.verdict != Verdict.VALID:
-                return None
+                return self._decline(result)
         return InterferenceVerdict(False, PROVED, "rollback-symbolic")
 
     def _relational_rollback(
@@ -1024,7 +1072,7 @@ class InterferenceChecker:
             entry = fx.EntryState()
             undo = fx.undo_effects(path, entry)
             if undo is None:
-                return None
+                return self._decline()
             ranges = [undo[i: j + 1] for j in range(len(undo)) for i in range(j + 1)]
             conclusions = []
             for part in conjuncts(assertion):
@@ -1037,13 +1085,15 @@ class InterferenceChecker:
                         [step for step in done if isinstance(step, fx.TableEffect)],
                     )
                     if after is None:
-                        return None
+                        return self._decline()
                     states[after] = None
                 conclusions.append(conj(*states))
             lifted = entry.lift(_entry_condition(source))
             premise = conj(assertion, lifted, entry.congruence(), assumption)
-            if not all(_proved(premise, conclusion) for conclusion in conclusions):
-                return None
+            for conclusion in conclusions:
+                result = _proved(premise, conclusion)
+                if not result:
+                    return self._decline(result)
         return InterferenceVerdict(False, PROVED, "rollback-symbolic")
 
     def _relational_unit(
@@ -1064,8 +1114,11 @@ class InterferenceChecker:
             tables = [e for e in reversed(path.effects) if isinstance(e, fx.TableEffect)]
             for part in conjuncts(assertion):
                 after = fx.apply_effects(part, path.store, tables)
-                if after is None or not _proved(premise, disj(excuse, after)):
-                    return None
+                if after is None:
+                    return self._decline()
+                result = _proved(premise, disj(excuse, after))
+                if not result:
+                    return self._decline(result)
         return InterferenceVerdict(False, PROVED, "symbolic")
 
     def _transaction_symbolic(
@@ -1074,13 +1127,13 @@ class InterferenceChecker:
     ) -> InterferenceVerdict | None:
         paths = fx.symbolic_paths(source, unroll=self.unroll)
         if paths is None:
-            return None
+            return self._decline()
         if any(path.relational for path in paths):
             return self._relational_unit(assertion, paths, excuse, assumption)
         for path in paths:
             after = fx.apply_store(assertion, path.store)
             if after is None:
-                return None
+                return self._decline()
             goal = implies(conj(assertion, path.condition, assumption), disj(excuse, after))
             result = is_valid(goal)
             if result.verdict == Verdict.INVALID:
@@ -1091,7 +1144,7 @@ class InterferenceChecker:
                     witness=Witness("symbolic", f"{source.name} as a unit can falsify {assertion!r}", model=result.model),
                 )
             if result.verdict != Verdict.VALID:
-                return None
+                return self._decline(result)
         return InterferenceVerdict(False, PROVED, "symbolic")
 
     # -- tier 3: bounded model checking ---------------------------------------
@@ -1465,8 +1518,8 @@ class InterferenceChecker:
         raise ValueError(f"unknown BMC mode {mode!r}")
 
 
-def _proved(premise: Formula, conclusion: Formula) -> bool:
-    """Whether ``premise ⇒ conclusion`` is VALID.
+def _proved(premise: Formula, conclusion: Formula) -> ProofResult:
+    """The prover's answer to ``premise ⇒ conclusion``; truthy when VALID.
 
     Comparison literals that are conjuncts of the premise are true in the
     conclusion, and a literal disjunct of the conclusion may be taken false
@@ -1479,35 +1532,18 @@ def _proved(premise: Formula, conclusion: Formula) -> bool:
         if isinstance(literal, Cmp):
             known[literal] = TRUE
             known[literal.negated()] = FALSE
-    conclusion = simplify(_rewrite_literals(conclusion, known))
+    conclusion = simplify(rewrite_literals(conclusion, known))
     if isinstance(conclusion, Or):
         parts = conclusion.operands
         literals = [part for part in parts if isinstance(part, Cmp)]
         conclusion = disj(*literals, *(
-            _rewrite_literals(
+            rewrite_literals(
                 part, {**{l: FALSE for l in literals}, **{l.negated(): TRUE for l in literals}}
             )
             for part in parts
             if not isinstance(part, Cmp)
         ))
-    return is_valid(implies(premise, conclusion)).verdict == Verdict.VALID
-
-
-def _rewrite_literals(formula: Formula, table: dict) -> Formula:
-    """``formula`` with comparison literals replaced per ``table``, outside quantifiers."""
-    if formula in table:
-        return table[formula]
-    if isinstance(formula, Not):
-        return Not(_rewrite_literals(formula.operand, table))
-    if isinstance(formula, And):
-        return conj(*(_rewrite_literals(op, table) for op in formula.operands))
-    if isinstance(formula, Or):
-        return disj(*(_rewrite_literals(op, table) for op in formula.operands))
-    if isinstance(formula, Implies):
-        return implies(
-            _rewrite_literals(formula.premise, table), _rewrite_literals(formula.conclusion, table)
-        )
-    return formula
+    return is_valid(implies(premise, conclusion))
 
 
 def _entry_condition(txn: TransactionType) -> Formula:

@@ -59,6 +59,7 @@ from repro.core.formula import (
     conj,
     disj,
 )
+from repro.core.resources import TableResource
 from repro.core.terms import (
     Add,
     BoolConst,
@@ -73,8 +74,9 @@ from repro.errors import ProverError
 
 #: Version of the decision procedure; part of the persistent verdict-store
 #: salt (see :mod:`repro.core.persist`) so verdicts computed by an older
-#: prover can never satisfy a lookup after the procedure changes.
-PROVER_VERSION = "3"
+#: prover can never satisfy a lookup after the procedure changes (4:
+#: quantifier instantiation and product congruence).
+PROVER_VERSION = "4"
 
 #: Maximum number of DNF cubes explored before giving up with UNKNOWN.
 MAX_CUBES = 4096
@@ -339,6 +341,8 @@ class _Opacifier:
     formula_atoms: dict = field(default_factory=dict)
     term_atoms: dict = field(default_factory=dict)
     used: bool = False
+    #: whether a product of two non-constant terms becomes an atom too
+    products: bool = False
 
     def formula_atom(self, original: Formula) -> Formula:
         self.used = True
@@ -360,7 +364,11 @@ class _Opacifier:
         if isinstance(term, CountWhere):
             return self.term_atom(term)
         if isinstance(term, (Add, Sub, Mul)):
-            return type(term)(self.run_term(term.left), self.run_term(term.right))
+            left, right = self.run_term(term.left), self.run_term(term.right)
+            if self.products and isinstance(term, Mul) and not (_constant(left) or _constant(right)):
+                # an uninterpreted application; see _congruence_axioms
+                return self.term_atom(Mul(left, right))
+            return type(term)(left, right)
         if isinstance(term, Neg):
             return Neg(self.run_term(term.operand))
         if isinstance(term, tm.Field):
@@ -418,6 +426,195 @@ def _expand_forall_ints(formula: ForAllInts) -> Formula | None:
 
 
 # ---------------------------------------------------------------------------
+# quantifier instantiation
+# ---------------------------------------------------------------------------
+
+
+class _Row:
+    """A ground row of ``table`` that universals over it are instantiated at.
+
+    ``guard`` holds whenever the row is in the table; ``values`` fixes some
+    attributes, and every other attribute, per sort, is a fresh constant.
+    """
+
+    def __init__(self, name: str, table: str, guard: Formula, values: Iterable = ()) -> None:
+        self.name, self.table, self.guard = name, table, guard
+        self.values = dict(values)
+        self.fresh: dict = {}
+
+    def attr(self, attr: str, sort: str) -> Term:
+        value = self.values.get(attr)
+        if value is None:
+            value = self.fresh.get((attr, sort))
+            if value is None:
+                value = self.fresh[attr, sort] = tm.Local(f"{self.name}.{attr}", sort)
+        return value
+
+
+def _row_instance(q: Formula, row: _Row) -> Formula:
+    """The matrix of row quantifier ``q`` at ``row``: ``where → body`` for
+    ``∀``, ``where ∧ body`` for ``∃``."""
+    mapping = {
+        atom: row.attr(atom.attr, atom.var_sort)
+        for part in (q.where, q.body)
+        for atom in part.atoms()
+        if isinstance(atom, fm.RowAttr) and atom.row == q.row
+    }
+    where, body = q.where.substitute(mapping), q.body.substitute(mapping)
+    return fm.implies(where, body) if isinstance(q, ForAllRows) else conj(where, body)
+
+
+def _defined(q: Formula, positive: bool) -> dict:
+    """Attributes that an existential's witness row has by an equality.
+
+    A conjunct ``r.a == t`` of the witness's matrix (``where ∧ body`` of an
+    ``∃``, ``where ∧ ¬body`` of a ``¬∀``), with ``t`` free of the row,
+    fixes the attribute to ``t``, so instances at the row read ``t``.
+    """
+    parts = list(fm.conjuncts(q.where))
+    body = q.body if positive else simplify(Not(q.body))
+    parts += fm.conjuncts(body)
+    values: dict = {}
+    for part in parts:
+        if not (isinstance(part, Cmp) and part.op == "=="):
+            continue
+        for attr, term in ((part.left, part.right), (part.right, part.left)):
+            if (
+                isinstance(attr, fm.RowAttr)
+                and attr.row == q.row
+                and attr.attr not in values
+                and not any(isinstance(a, fm.RowAttr) and a.row == q.row for a in term.atoms())
+            ):
+                values[attr.attr] = term
+                break
+    return values
+
+
+def _int_instance(q: ForAllInts, value: Term) -> Formula:
+    """``low <= value <= high → body[value]`` for a ``forall int``."""
+    return fm.implies(
+        conj(Cmp("<=", q.low, value), Cmp("<=", value, q.high)),
+        q.body.substitute({fm.BoundVar(q.var): value}),
+    )
+
+
+class _Instantiator:
+    """One round of Skolemisation and instantiation of a goal's quantifiers.
+
+    :meth:`skolemise` replaces each existentially occurring quantifier
+    outside any binder (``∃`` row or ``¬∀`` row or int) by its matrix at a
+    fresh constant, and records every tuple an ``InTable`` outside a binder
+    names, as ground rows.  :meth:`instantiate` then conjoins, next to each
+    universally occurring quantifier outside a binder, its instances at
+    those rows of its table (each guarded by the row's membership) or at
+    those integers, and instantiates the instances' own universals the
+    same way.  The quantifiers that remain stay for the opacifier.  Every
+    step maps the goal to an equisatisfiable one whose models extend the
+    goal's, so UNSAT carries over; SAT does not, as the remaining
+    quantifiers are abstracted.
+    """
+
+    def __init__(self) -> None:
+        self.rows: dict = {}  # table -> [_Row]
+        self.ints: list = []
+        self.named: set = set()  # (InTable, guard) pairs already recorded
+
+    def _row(self, table: str, guard: Formula, values: Iterable = ()) -> _Row:
+        row = _Row(f"__row{sum(map(len, self.rows.values()))}", table, guard, values)
+        self.rows.setdefault(table, []).append(row)
+        return row
+
+    def skolemise(self, f: Formula, positive: bool, top: bool) -> Formula:
+        """``f`` at ``positive`` polarity; ``top`` when every model of the
+        goal makes ``f``'s polarity-adjusted value true."""
+        if isinstance(f, Not):
+            return Not(self.skolemise(f.operand, not positive, top))
+        if isinstance(f, (And, Or)):
+            child_top = top and positive == isinstance(f, And)
+            parts = (self.skolemise(op, positive, child_top) for op in f.operands)
+            return conj(*parts) if isinstance(f, And) else disj(*parts)
+        if isinstance(f, Implies):
+            child_top = top and not positive
+            return fm.implies(
+                self.skolemise(f.premise, not positive, child_top),
+                self.skolemise(f.conclusion, positive, child_top),
+            )
+        if isinstance(f, InTable):
+            guard = TRUE if top and positive else f
+            if (f, guard) not in self.named:
+                self.named.add((f, guard))
+                self._row(f.table, guard, f.values)
+            return f
+        if isinstance(f, ForAllInts):
+            expanded = _expand_forall_ints(f)
+            if expanded is not None:
+                return self.skolemise(expanded, positive, top)
+            if positive:
+                return f
+            value = tm.Local(f"__int{len(self.ints)}", "int")
+            self.ints.append(value)
+            return self.skolemise(_int_instance(f, value), positive, top)
+        if isinstance(f, (ForAllRows, ExistsRow)) and positive == isinstance(f, ExistsRow):
+            # the existential ``f`` (or ``¬f``) holds of a fresh row; where
+            # it need not hold, that row is in the table only when it does
+            witness = f if positive else Not(f)
+            row = self._row(f.table, TRUE if top else witness, _defined(f, positive))
+            instance = self.skolemise(_row_instance(f, row), positive, top)
+            if top:
+                return instance
+            return conj(f, instance) if positive else disj(f, instance)
+        return f
+
+    def instantiate(self, f: Formula, positive: bool) -> Formula:
+        if isinstance(f, Not):
+            return Not(self.instantiate(f.operand, not positive))
+        if isinstance(f, (And, Or)):
+            parts = (self.instantiate(op, positive) for op in f.operands)
+            return conj(*parts) if isinstance(f, And) else disj(*parts)
+        if isinstance(f, Implies):
+            return fm.implies(
+                self.instantiate(f.premise, not positive), self.instantiate(f.conclusion, positive)
+            )
+        if isinstance(f, ForAllInts):
+            if not positive:
+                return f
+            expanded = _expand_forall_ints(f)
+            if expanded is not None:
+                return self.instantiate(expanded, positive)
+            instances = [_int_instance(f, value) for value in self.ints]
+        elif isinstance(f, (ForAllRows, ExistsRow, InTable)) and positive != isinstance(
+            f, (ExistsRow, InTable)
+        ):
+            instances = []
+            for row in self.rows.get(f.table, ()):
+                if isinstance(f, InTable):
+                    matrix = conj(*(Cmp("==", row.attr(a, t.sort), t) for a, t in f.values))
+                else:
+                    matrix = _row_instance(f, row)
+                matrix = self.instantiate(simplify(matrix), positive)
+                # ``∀`` instances hold where the row is a member; a negated
+                # ``∃`` gains the disjuncts whose negations do
+                instances.append(
+                    fm.implies(row.guard, matrix) if positive else conj(row.guard, matrix)
+                )
+            return conj(f, *instances) if positive else disj(f, *instances)
+        else:
+            return f
+        instances = [self.instantiate(simplify(i), positive) for i in instances]
+        return conj(f, *instances)
+
+
+def _instantiate_quantifiers(goal: Formula) -> Formula:
+    """``goal`` after one round of quantifier instantiation (see
+    :class:`_Instantiator`); ``goal`` itself when it has no quantifier."""
+    instantiator = _Instantiator()
+    skolemised = instantiator.skolemise(goal, True, True)
+    if not instantiator.rows and not instantiator.ints:
+        return skolemised
+    return simplify(instantiator.instantiate(skolemised, True))
+
+
+# ---------------------------------------------------------------------------
 # NNF / DNF
 # ---------------------------------------------------------------------------
 
@@ -441,7 +638,7 @@ def _nnf(formula: Formula, negate: bool) -> Formula:
         return disj(_nnf(formula.premise, True), _nnf(formula.conclusion, False))
     if isinstance(formula, Cmp):
         literal = formula.negated() if negate else formula
-        if literal.op == "!=" and literal.left.sort != "str":
+        if literal.op == "!=" and "str" not in (literal.left.sort, literal.right.sort):
             return disj(
                 Cmp("<", literal.left, literal.right),
                 Cmp(">", literal.left, literal.right),
@@ -1117,31 +1314,173 @@ def _refuted(cube: Sequence[Formula]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _congruence_axioms(goal: Formula) -> list:
-    """Ackermann-style array congruence: equal indices force equal values.
+def _constant(term: Term) -> bool:
+    """Whether ``term`` is a linear term without atoms."""
+    linear = _linearize(term, {})
+    return linear is not None and set(linear) <= {None}
+
+
+def _products(formula: Formula, out: dict) -> dict:
+    """Every product of two non-constant terms in ``formula`` outside a
+    quantifier, as the keys of ``out``."""
+    if isinstance(formula, (And, Or)):
+        for op in formula.operands:
+            _products(op, out)
+    elif isinstance(formula, Not):
+        _products(formula.operand, out)
+    elif isinstance(formula, Implies):
+        _products(formula.premise, out)
+        _products(formula.conclusion, out)
+    elif isinstance(formula, (Cmp, BoolAtom)):
+        stack = [formula.left, formula.right] if isinstance(formula, Cmp) else [formula.term]
+        while stack:
+            term = stack.pop()
+            if isinstance(term, (Add, Sub, Mul)):
+                stack += (term.left, term.right)
+                if isinstance(term, Mul) and not (_constant(term.left) or _constant(term.right)):
+                    out[term] = None
+            elif isinstance(term, Neg):
+                stack.append(term.operand)
+            elif isinstance(term, tm.Field):
+                stack.append(term.index)
+    return out
+
+
+def _same(left: Term, right: Term) -> Formula:
+    """A condition under which two terms are equal: index equality for two
+    fields of one array attribute (the field axioms give the rest)."""
+    if left == right:
+        return TRUE
+    if (
+        isinstance(left, tm.Field)
+        and isinstance(right, tm.Field)
+        and (left.array, left.attr) == (right.array, right.attr)
+    ):
+        return Cmp("==", left.index, right.index)
+    return Cmp("==", left, right)
+
+
+def _congruence_axioms(goal: Formula, known: dict | None = None) -> list:
+    """Ackermann-style congruence: equal arguments force equal values.
 
     Two ``Field`` atoms over the same array and attribute denote the same
     location exactly when their indices agree; without these axioms the
     linear core would treat ``a[i]`` and ``a[j]`` as unrelated even under an
-    assumed ``i == j``.
+    assumed ``i == j``.  A retry passes ``known``, the literals its goal
+    asserts (:func:`_literal_table`), and relates the terms it makes
+    opaque as well: two products of non-constant terms are equal when
+    their factors are, pairwise, and two counts over one table when their
+    WHERE clauses differ only in equal subterms (:func:`_differences`).
+    There an axiom whose premise the goal refutes is dropped, and one whose
+    premise it asserts is reduced to its conclusion, so the DNF need not
+    triple per axiom.
     """
+    pairs: list = []
     fields: dict = {}
     for atom in goal.atoms():
         if isinstance(atom, tm.Field):
             fields.setdefault((atom.array, atom.attr), set()).add(atom)
-    axioms: list[Formula] = []
     for group in fields.values():
         ordered = sorted(group, key=repr)
         for i, left in enumerate(ordered):
             for right in ordered[i + 1 :]:
-                if left.index == right.index:
-                    continue
-                axioms.append(
-                    fm.implies(
-                        Cmp("==", left.index, right.index), Cmp("==", left, right)
-                    )
-                )
-    return axioms
+                if left.index != right.index:
+                    pairs.append(((Cmp("==", left.index, right.index),), left, right))
+    if known is not None:
+        products = sorted(_products(goal, {}), key=repr)
+        for i, left in enumerate(products):
+            for right in products[i + 1 :]:
+                same = (_same(left.left, right.left), _same(left.right, right.right))
+                pairs.append((tuple(dict.fromkeys(same)), left, right))
+        counts: dict = {}
+        for atom in goal.atoms():
+            if isinstance(atom, CountWhere):
+                counts.setdefault(atom.table, set()).add(atom)
+        for group in counts.values():
+            ordered = sorted(group, key=repr)
+            for i, left in enumerate(ordered):
+                for right in ordered[i + 1 :]:
+                    differences = _differences(left, right)
+                    if differences is not None:
+                        pairs.append((differences, left, right))
+    if known is None:
+        return [fm.implies(conj(*premise), Cmp("==", left, right)) for premise, left, right in pairs]
+    # one implication per premise: the DNF branches once for all its equalities
+    grouped: dict = {}
+    for premise, left, right in pairs:
+        premise = conj(*(known.get(part, part) for part in premise))
+        if not isinstance(premise, Bottom):
+            grouped.setdefault(premise, []).append(Cmp("==", left, right))
+    return [fm.implies(premise, conj(*equalities)) for premise, equalities in grouped.items()]
+
+
+def _differences(left: CountWhere, right: CountWhere) -> tuple | None:
+    """Equalities under which two counts over one table agree.
+
+    The WHERE clauses, with their row variables renamed alike, must match
+    but for some subterms free of the row; the result equates those pairs.
+    None when the clauses differ in shape.
+    """
+    row = "__count"
+    pairs: dict = {}
+
+    def rename(where: Formula, name: str) -> Formula:
+        return where.substitute({
+            atom: fm.RowAttr(row, atom.attr, atom.var_sort)
+            for atom in where.atoms()
+            if isinstance(atom, fm.RowAttr) and atom.row == name
+        })
+
+    def walk(a, b) -> bool:
+        if a == b:
+            return True
+        if isinstance(a, Term) and isinstance(b, Term):
+            if isinstance(a, (Add, Sub, Mul)) and type(a) is type(b):
+                return walk(a.left, b.left) and walk(a.right, b.right)
+            if any(isinstance(t, (fm.RowAttr, CountWhere)) for t in (*a.atoms(), *b.atoms())):
+                return False
+            pairs[Cmp("==", a, b)] = None
+            return True
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, Cmp):
+            return a.op == b.op and walk(a.left, b.left) and walk(a.right, b.right)
+        if isinstance(a, Not):
+            return walk(a.operand, b.operand)
+        if isinstance(a, (And, Or)):
+            return len(a.operands) == len(b.operands) and all(
+                walk(x, y) for x, y in zip(a.operands, b.operands)
+            )
+        return False
+
+    if walk(rename(left.where, left.row), rename(right.where, right.row)):
+        return tuple(pairs)
+    return None
+
+
+def _asserted(formula: Formula, positive: bool, out: list) -> list:
+    """The literals every model of ``formula`` (negated when not
+    ``positive``) satisfies by its boolean structure alone: comparisons,
+    negated where they occur negatively, and other atoms, under ``Not``."""
+    if isinstance(formula, Not):
+        _asserted(formula.operand, not positive, out)
+    elif isinstance(formula, (And, Or)):
+        if positive == isinstance(formula, And):
+            for op in formula.operands:
+                _asserted(op, positive, out)
+    elif isinstance(formula, Implies):
+        if not positive:
+            _asserted(formula.premise, True, out)
+            _asserted(formula.conclusion, False, out)
+    elif isinstance(formula, Cmp):
+        out.append(formula if positive else formula.negated())
+    elif not isinstance(formula, (Top, Bottom)):
+        out.append(formula if positive else Not(formula))
+    return out
+
+
+#: The comparison that holds with its operands swapped.
+_FLIPPED = {"==": "==", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
 def is_satisfiable(formula: Formula, assumptions: Iterable[Formula] = ()) -> ProofResult:
@@ -1159,6 +1498,8 @@ def is_satisfiable(formula: Formula, assumptions: Iterable[Formula] = ()) -> Pro
         return cached
     _memo_stats["query_misses"] += 1
     result = _is_satisfiable_impl(formula, assumptions)
+    if result.verdict == Verdict.UNKNOWN:
+        result = _retried(simplify(conj(*assumptions, formula)), result)
     _memo_put(_query_memo, key, result)
     return result
 
@@ -1170,8 +1511,88 @@ def _is_satisfiable_impl(formula: Formula, assumptions: tuple) -> ProofResult:
         return ProofResult(Verdict.SAT, model={})
     if isinstance(goal, Bottom):
         return ProofResult(Verdict.UNSAT)
-    goal = conj(goal, *_congruence_axioms(goal))
-    opacifier = _Opacifier()
+    return _decide_goal(goal, _congruence_axioms(goal))
+
+
+def _retried(goal: Formula, result: ProofResult) -> ProofResult:
+    """The answer to a goal the DNF decision left open, after a retry.
+
+    That decision reads each quantifier, aggregate and non-constant product
+    as an unrelated atom.  A goal that reads a table or has such a product
+    is retried with them related (step 5): only an UNSAT answer replaces
+    ``result``, so the retry never turns a verdict into SAT or INVALID.
+    """
+    if not _beyond_linear(goal):
+        return result
+    strengthened, known = _strengthened(goal)
+    axioms = _congruence_axioms(strengthened, known)
+    retry = _decide_goal(strengthened, axioms, related=True, instantiate=True)
+    return retry if retry.verdict == Verdict.UNSAT else result
+
+
+def _beyond_linear(goal: Formula) -> bool:
+    """Whether ``goal`` reads a table or multiplies two non-constant terms."""
+    return any(isinstance(res, TableResource) for res in goal.resources()) or bool(
+        _products(goal, {})
+    )
+
+
+def rewrite_literals(formula: Formula, table: dict) -> Formula:
+    """``formula`` with comparison literals replaced per ``table``, outside quantifiers."""
+    if formula in table:
+        return table[formula]
+    if isinstance(formula, Not):
+        return Not(rewrite_literals(formula.operand, table))
+    if isinstance(formula, And):
+        return conj(*(rewrite_literals(op, table) for op in formula.operands))
+    if isinstance(formula, Or):
+        return disj(*(rewrite_literals(op, table) for op in formula.operands))
+    if isinstance(formula, Implies):
+        return fm.implies(
+            rewrite_literals(formula.premise, table), rewrite_literals(formula.conclusion, table)
+        )
+    return formula
+
+
+def _literal_table(asserted: Sequence[Formula]) -> dict:
+    """Each asserted literal to TRUE and its negation to FALSE; a comparison
+    either way round."""
+    table: dict = {}
+    for literal in asserted:
+        if isinstance(literal, Cmp):
+            for fact in (literal, Cmp(_FLIPPED[literal.op], literal.right, literal.left)):
+                table[fact] = TRUE
+                table[fact.negated()] = FALSE
+        elif isinstance(literal, Not):
+            table[literal.operand] = FALSE
+        else:
+            table[literal] = TRUE
+    return table
+
+
+def _strengthened(goal: Formula) -> tuple:
+    """``goal`` with the literals it asserts fixed everywhere else, and the
+    table that fixes them (see :func:`_asserted`)."""
+    asserted = _asserted(goal, True, [])
+    known = _literal_table(asserted)
+    return simplify(conj(*dict.fromkeys(asserted), rewrite_literals(goal, known))), known
+
+
+_ABSTRACT_MODEL = "model found only for an abstraction"
+
+
+def _decide_goal(
+    goal: Formula, axioms: list, related: bool = False, instantiate: bool = False
+) -> ProofResult:
+    """Satisfiability of a simplified goal and its axioms by DNF cubes (steps 1–4).
+
+    ``related`` marks a goal of the retry: its products are opaque terms
+    too, and none of its models is a genuine one.  With ``instantiate``, a
+    cube that is SAT only through the abstraction is refuted, where it can
+    be, by instantiating its quantifiers (:func:`_refuted_by_instances`).
+    """
+    goal = conj(goal, *axioms)
+    opacifier = _Opacifier(used=related, products=related)
     abstracted_goal = opacifier.run(goal)
     nnf = _nnf(abstracted_goal, negate=False)
     if _dnf_size(nnf) is None:
@@ -1191,23 +1612,93 @@ def _is_satisfiable_impl(formula: Formula, assumptions: tuple) -> ProofResult:
             _memo_stats["cubes_refuted"] += 1
             continue
         verdict, model = _decide_cube(cube)
+        if verdict == Verdict.SAT and instantiate and _refuted_by_instances(cube, opacifier):
+            continue
         if verdict == Verdict.SAT:
             if opacifier.used:
                 return ProofResult(
-                    Verdict.UNKNOWN,
-                    model=model,
-                    abstracted=True,
-                    reason="model found only for an abstraction",
+                    Verdict.UNKNOWN, model=model, abstracted=True, reason=_ABSTRACT_MODEL
                 )
             return ProofResult(Verdict.SAT, model=model)
         if verdict == Verdict.UNKNOWN:
             saw_unknown = True
     # no cube is SAT: the set-aside cubes still decide UNSAT against
     # "some cubes undecided", as the solver may leave one of them open
-    # (say, at the FAST_FM_ROWS cap) where the pre-check refutes it
-    if saw_unknown or any(_decide_cube(cube)[0] == Verdict.UNKNOWN for cube in refuted):
+    # (say, at the FAST_FM_ROWS cap) where the pre-check refutes it; a
+    # retry keeps only UNSAT, which the pre-check's refutations already are
+    if saw_unknown or (
+        not related and any(_decide_cube(cube)[0] == Verdict.UNKNOWN for cube in refuted)
+    ):
         return ProofResult(Verdict.UNKNOWN, reason="some cubes undecided")
     return ProofResult(Verdict.UNSAT, abstracted=opacifier.used)
+
+
+def _refuted_by_instances(cube: Sequence[Formula], opacifier: _Opacifier) -> bool:
+    """Whether a cube that is SAT over opaque atoms is UNSAT once its
+    quantifiers are instantiated.
+
+    The cube's atoms are mapped back to the subformulas and terms they
+    stand for; every quantifier literal of the cube is then asserted, so
+    its existentials are Skolemised without guards and its universals are
+    instantiated at the rows and integers that introduces
+    (:class:`_Instantiator`).  Decided once per distinct cube.
+    """
+    formulas = {atom.term: original for original, atom in opacifier.formula_atoms.items()}
+    terms = {atom: original for original, atom in opacifier.term_atoms.items()}
+    literals = []
+    for literal in cube:
+        negative = isinstance(literal, Not)
+        base = literal.operand if negative else literal
+        if isinstance(base, BoolAtom) and base.term in formulas:
+            base = formulas[base.term]
+        elif terms:
+            base = base.substitute(terms)
+        literals.append(Not(base) if negative else base)
+    counted = _rows_counted(cube, terms)
+    restored = simplify(conj(*dict.fromkeys(literals + counted)))
+    key = ("instances", restored)
+    refuted = _query_memo.get(key)
+    if refuted is None:
+        instantiated = _instantiate_quantifiers(restored)
+        refuted = False
+        if counted or instantiated is not restored:
+            instantiated, known = _strengthened(instantiated)
+            axioms = _congruence_axioms(instantiated, known)
+            refuted = _decide_goal(instantiated, axioms, related=True).verdict == Verdict.UNSAT
+        _memo_put(_query_memo, key, refuted)
+    return refuted
+
+
+def _rows_counted(cube: Sequence[Formula], terms: dict) -> list:
+    """What a cube's integer literals say of the rows its counts count.
+
+    ``COUNT(T where φ)`` is never negative; where the literals' bounds put
+    it at 1 or more, some row of ``T`` satisfies ``φ``, and where they put
+    it at 0 or less, none does (bounds by :func:`_propagate_bounds`).
+    """
+    variables: dict = {}
+    constraints: list = []
+    for literal in cube:
+        kind, cmp, _ = _classify(literal)
+        if kind == _INT:
+            constraints.extend(_int_constraints_of_literal(cmp, variables) or ())
+    counts = [(i, terms[var]) for var, i in variables.items() if isinstance(terms.get(var), CountWhere)]
+    if not counts:
+        return []
+    rows = _indexed_rows(constraints, variables) + [(((i, -1),), 0) for i, _count in counts]
+    bounds = _propagate_bounds(rows, len(variables))
+    if bounds is None:
+        return [FALSE]
+    lower, upper = bounds
+    facts: list = []
+    for i, count in counts:
+        exists = ExistsRow(count.table, count.row, count.where)
+        facts.append(Cmp(">=", count, IntConst(0)))
+        if lower[i] is not None and lower[i] >= 1:
+            facts.append(exists)
+        elif upper[i] is not None and upper[i] <= 0:
+            facts.append(Not(exists))
+    return facts
 
 
 def is_valid(formula: Formula, assumptions: Iterable[Formula] = ()) -> ProofResult:

@@ -45,6 +45,43 @@ def level_table(report: ApplicationReport) -> str:
     )
 
 
+def abstract_predicate_note(report: ApplicationReport) -> str:
+    """Which obligations only BMC decides because they read an abstract predicate.
+
+    An :class:`~repro.core.formula.AbstractPred` is an opaque Python
+    evaluator, so tier 2 has nothing to carry across a write: obligations
+    on one go to bounded model checking by design.  One line per target
+    and assertion, with its count of distinct obligations; empty when
+    there are none.
+    """
+    counts: dict = {}
+    seen: set = set()
+    for choice in report.choices:
+        for attempt in choice.attempts:
+            for ob in attempt.obligations:
+                key = (ob.target, ob.assertion.label, ob.source, ob.mode, repr(ob.statement))
+                verdict = ob.verdict
+                if (
+                    verdict is None
+                    or not verdict.method.startswith("bmc")
+                    or ob.assertion.formula.projectable()
+                    or key in seen
+                ):
+                    continue
+                seen.add(key)
+                where = (ob.target, ob.assertion.label, repr(ob.assertion.formula))
+                counts[where] = counts.get(where, 0) + 1
+    if not counts:
+        return ""
+    lines = [
+        "decided by BMC only, by design (an abstract predicate is an opaque"
+        " Python evaluator that tier 2 cannot carry across a write):"
+    ]
+    for (target, label, formula), count in sorted(counts.items()):
+        lines.append(f"  {target} {label} {formula}: {count} obligations")
+    return "\n".join(lines)
+
+
 def failure_details(result: LevelCheckResult, limit: int = 10) -> str:
     """Human-readable dump of the failing obligations of a level check."""
     lines = [result.summary()]
@@ -113,6 +150,14 @@ def analysis_stats_table(checker) -> str:
     if cache.persist_hits:
         lines.append(
             f"persist:        {cache.persist_hits} hits answered by disk-warmed entries"
+        )
+    if checker.declined:
+        lines.append("")
+        lines.append(
+            format_table(
+                ("tier 2 declined", "reached bmc"),
+                sorted(checker.declined.items(), key=lambda item: (-item[1], item[0])),
+            )
         )
     return "\n".join(lines)
 

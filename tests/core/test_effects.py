@@ -265,6 +265,16 @@ class TestApplyStore:
         breaks_if_equal = implies(conj(assertion, eq(i1, i2)), after)
         assert is_valid(breaks_if_equal).verdict == Verdict.INVALID
 
+    def test_abstract_predicate_reading_a_written_location_is_refused(self):
+        from repro.core.formula import AbstractPred
+        from repro.core.resources import ScalarResource
+
+        even = AbstractPred("x is even", reads=frozenset({ScalarResource("x")}))
+        assert apply_store(conj(even, ge(Item("y"), 0)), {Item("x"): IntConst(1)}) is None
+        # one that reads elsewhere is carried across untouched
+        other = AbstractPred("y is even", reads=frozenset({ScalarResource("y")}))
+        assert apply_store(other, {Item("x"): IntConst(1)}) is other
+
     def test_single_write_helper(self):
         assertion = eq(Item("x"), 3)
         after = apply_single_write(assertion, Item("x"), IntConst(4))
@@ -481,10 +491,28 @@ class TestUninsertTransformer:
 
 
 class TestNestingLimits:
-    def test_quantifier_nested_over_the_same_table_unsupported(self):
-        nested = ForAllRows("T", "a", ExistsRow("T", "b", eq(RowAttr("b", "k"), RowAttr("a", "k"))))
-        effect = statement_effect(Insert("T", (("k", P), ("v", IntConst(0)))))
-        assert apply_table_effect(nested, effect) is None
+    #: every row's key is some row's key: a quantifier nested over its own table
+    NESTED = ForAllRows("T", "a", ExistsRow("T", "b", eq(RowAttr("b", "k"), RowAttr("a", "k"))))
+    #: keys are unique: an aggregate over the table under its own quantifier
+    UNIQUE = ForAllRows("T", "u", le(CountWhere("T", "w", eq(RowAttr("w", "k"), RowAttr("u", "k"))), 1))
+    #: no row's value exceeds another's key: a universal nested in a universal
+    BOUNDED = ForAllRows("T", "a", ForAllRows("T", "b", le(RowAttr("a", "v"), RowAttr("b", "k"))))
+
+    def test_quantifier_nested_over_the_same_table_is_exact(self):
+        _exact(self.NESTED, Insert("T", (("k", P), ("v", IntConst(0)))))
+        _exact(self.UNIQUE, Insert("T", (("k", P), ("v", IntConst(0)))))
+
+    def test_update_of_an_attribute_the_nest_never_reads_leaves_it(self):
+        stmt = Update("T", sets=(("v", IntConst(1)),), where=eq(RowAttr("r", "k"), P))
+        assert apply_table_effect(self.NESTED, statement_effect(stmt)) is self.NESTED
+        _exact(self.UNIQUE, stmt)
+
+    def test_nested_universals_across_a_delete_are_sound(self):
+        _sound(self.BOUNDED, Delete("T", where=eq(RowAttr("r", "k"), P)))
+
+    def test_nested_existential_needing_a_fresh_row_is_refused(self):
+        effect = statement_effect(Delete("T", where=eq(RowAttr("r", "k"), P)))
+        assert apply_table_effect(self.NESTED, effect) is None
 
     def test_aggregate_under_another_tables_quantifier_is_exact(self):
         # the CUST/ORDERS shape: a count of T per row of U

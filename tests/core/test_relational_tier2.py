@@ -5,14 +5,16 @@ statement is one) is put to tier 2; each verdict tier 2 gives must be a
 proof of non-interference, and BMC run exhaustively on small domains must
 find no witness for it.  The applications are tpcc and orders with reduced
 domains, plus fixtures that exercise each transformer and a rollback that
-is safe only when complete.
+is safe only when complete.  employees, whose invariant multiplies two
+fields, puts every obligation to tier 2 and checks each proof of
+non-interference the same way.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.apps import orders, tpcc
+from repro.apps import employees, orders, tpcc
 from repro.core.application import Application
 from repro.core.conditions import (
     READ_COMMITTED,
@@ -93,11 +95,14 @@ def _bmc(checker, spec):
     )
 
 
-def _differential(app: Application) -> tuple:
+def _differential(app: Application, relational: bool = True) -> tuple:
     """``(proved, witnessed)``: tier-2 proofs checked, and BMC witnesses seen.
 
     Fails on the first tier-2 verdict that is not a proof, and on the first
     proof that exhaustive BMC contradicts or could not check exhaustively.
+    With ``relational`` off every obligation is put to tier 2, and only its
+    proofs of non-interference are checked (a conventional body's witness
+    is a formula-level model that a bounded domain may not contain).
     """
     checker = InterferenceChecker(spec=app.spec, budget=BUDGET)
     proved = witnessed = 0
@@ -105,7 +110,7 @@ def _differential(app: Application) -> tuple:
     for target in app.transactions:
         for level in LEVELS:
             for spec in plan_level(app, target, level):
-                if spec.excused is not None or not _relational(spec):
+                if spec.excused is not None or (relational and not _relational(spec)):
                     continue
                 key = (
                     spec.check, target.name, spec.assertion.label, spec.source.name,
@@ -118,7 +123,7 @@ def _differential(app: Application) -> tuple:
                 bounded = _bmc(checker, spec)
                 if bounded.interferes:
                     witnessed += 1
-                if verdict is None:
+                if verdict is None or (not relational and verdict.interferes):
                     continue
                 where = f"{level}: {key}"
                 assert not verdict.interferes and verdict.confidence == PROVED, where
@@ -197,6 +202,17 @@ def small_orders() -> Application:
             state_constraint=spec.state_constraint,
         ),
         invariant=base.invariant,
+        assumptions=base.assumptions,
+    )
+
+
+def small_employees() -> Application:
+    """employees over two records, enumerated exhaustively."""
+    base = employees.make_application()
+    return Application(
+        name="employees-small",
+        transactions=base.transactions,
+        spec=employees.domain_spec(2),
         assumptions=base.assumptions,
     )
 
@@ -283,13 +299,19 @@ def partial_undo_app() -> Application:
 
 @pytest.mark.parametrize(
     "make, minimum",
-    [(small_tpcc, 20), (small_orders, 10), (fixture_app, 10)],
+    [(small_tpcc, 20), (small_orders, 350), (fixture_app, 10)],
     ids=["tpcc", "orders", "fixture"],
 )
 def test_every_relational_tier2_verdict_survives_exhaustive_bmc(make, minimum):
     proved, witnessed = _differential(make())
     assert proved >= minimum
     assert witnessed > 0  # the scan is not vacuous: BMC does find interference
+
+
+def test_every_product_proof_survives_exhaustive_bmc():
+    proved, witnessed = _differential(small_employees(), relational=False)
+    assert proved >= 50
+    assert witnessed > 0
 
 
 def test_rollback_checks_every_partial_undo():

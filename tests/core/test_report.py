@@ -4,17 +4,19 @@ from repro.core.application import Application
 from repro.core.chooser import analyze_application
 from repro.core.conditions import READ_COMMITTED, READ_UNCOMMITTED, check_transaction_at
 from repro.core.domains import DomainSpec, ItemDomain
-from repro.core.formula import TRUE, ge, le
+from repro.core.formula import TRUE, AbstractPred, ge, le
 from repro.core.interference import InterferenceChecker
 from repro.core.program import Read, TransactionType, Write
 from repro.core.prover import clear_prover_caches, is_satisfiable
 from repro.core.report import (
+    abstract_predicate_note,
     analysis_stats_table,
     failure_details,
     format_table,
     level_table,
     obligation_stats,
 )
+from repro.core.resources import ScalarResource
 from repro.core.terms import Item, Local
 
 
@@ -107,3 +109,29 @@ class TestAnalysisStatsTable:
             "integer cubes: 1 sat / 0 unsat / 0 undecided,"
             " 1 set aside by the interval pre-check"
         )
+
+    def test_tier2_decline_census_counts_every_bmc_obligation(self):
+        app = make_app()
+        checker = InterferenceChecker(app.spec, use_symbolic=False)
+        analyze_application(app, checker)
+        assert checker.stats["bmc"] > 0
+        assert dict(checker.declined) == {"symbolic tier off": checker.stats["bmc"]}
+        table = analysis_stats_table(checker)
+        assert "tier 2 declined" in table and "symbolic tier off" in table
+
+
+class TestAbstractPredicateNote:
+    def test_names_the_assertions_only_bmc_decides(self):
+        even = AbstractPred(
+            "x is even",
+            reads=frozenset({ScalarResource("x")}),
+            evaluator=lambda state, env: state.read_item("x") % 2 == 0,
+        )
+        base = make_app()
+        watcher = TransactionType(name="Watcher", body=(Read(Local("w"), Item("x")),), result=even)
+        app = Application("rw-abstract", (watcher,) + base.transactions, spec=base.spec)
+        report = analyze_application(app, InterferenceChecker(app.spec))
+        note = abstract_predicate_note(report)
+        assert note.startswith("decided by BMC only, by design")
+        assert "Watcher Q_i <x is even>" in note
+        assert abstract_predicate_note(analyze_application(base, InterferenceChecker(base.spec))) == ""

@@ -134,19 +134,19 @@ ORDER_CONSISTENCY = conj(
         "c",
         eq(
             RowAttr("c", "num_orders"),
-            CountWhere("ORDERS", "o", eq(RowAttr("o", "cust_name"), RowAttr("c", "cust_name"))),
+            CountWhere("ORDERS", "o", eq(RowAttr("o", "cust_name", "str"), RowAttr("c", "cust_name", "str"))),
         ),
     ),
     ForAllRows(
         "ORDERS",
         "o2",
-        ExistsRow("CUST", "c2", eq(RowAttr("c2", "cust_name"), RowAttr("o2", "cust_name"))),
+        ExistsRow("CUST", "c2", eq(RowAttr("c2", "cust_name", "str"), RowAttr("o2", "cust_name", "str"))),
     ),
     # customer names are unique (CUST's primary key)
     ForAllRows(
         "CUST",
         "c3",
-        eq(CountWhere("CUST", "c4", eq(RowAttr("c4", "cust_name"), RowAttr("c3", "cust_name"))), 1),
+        eq(CountWhere("CUST", "c4", eq(RowAttr("c4", "cust_name", "str"), RowAttr("c3", "cust_name", "str"))), 1),
     ),
     # CUST rows exist only for customers with at least one order — the
     # implicit invariant behind Figure 3's "custcount = 0 ⇒ customer is
@@ -244,11 +244,11 @@ def make_new_order(rule: str = "no_gap") -> TransactionType:
     count_orders = SelectCount(
         "ORDERS",
         custcount,
-        where=eq(RowAttr("r", "cust_name"), customer),
+        where=eq(RowAttr("r", "cust_name", "str"), customer),
         post=conj(
             eq(
                 custcount,
-                CountWhere("ORDERS", "o", eq(RowAttr("o", "cust_name"), customer)),
+                CountWhere("ORDERS", "o", eq(RowAttr("o", "cust_name", "str"), customer)),
             ),
         ),
         label="count customer's orders",
@@ -270,7 +270,7 @@ def make_new_order(rule: str = "no_gap") -> TransactionType:
             Update(
                 "CUST",
                 sets=(("num_orders", custcount + 1),),
-                where=eq(RowAttr("r", "cust_name"), customer),
+                where=eq(RowAttr("r", "cust_name", "str"), customer),
                 label="bump customer's order count",
             ),
         ),
@@ -353,14 +353,14 @@ def make_audit() -> TransactionType:
     count_orders = SelectCount(
         "ORDERS",
         count1,
-        where=eq(RowAttr("r", "cust_name"), customer),
+        where=eq(RowAttr("r", "cust_name", "str"), customer),
         label="count orders",
     )
     read_declared = SelectScalar(
         "CUST",
         "num_orders",
         count2,
-        where=eq(RowAttr("r", "cust_name"), customer),
+        where=eq(RowAttr("r", "cust_name", "str"), customer),
         default=0,
         label="read declared count",
     )

@@ -14,10 +14,15 @@ Pipeline for :func:`is_satisfiable`:
    through an abstraction is only a *candidate* and is downgraded to
    ``UNKNOWN`` unless the formula needed no abstraction;
 2. *negation normal form* with integer ``!=`` split into ``< or >``;
-3. *disjunctive normal form* (capped — oversized formulas yield UNKNOWN),
-   with cubes ordered cheapest-first so a SAT exit is found early; cubes
-   whose literals already bound one term vector with an empty interval
-   are set aside during that search and decided only if no cube is SAT;
+3. a *branch-and-prune search* over the NNF goal (:func:`_search`): the
+   literals it asserts are collected first, then it branches on one
+   disjunction at a time, and every node's partial cube passes an
+   interval check and a cube decision before the search goes deeper, so
+   a contradiction cuts off every cube below it.  Two fields of one
+   integer array are related lazily: a leaf whose model gives them equal
+   indices and different values is split on the order of the indices
+   (the Ackermann axiom's three cases, taken only where a model needs
+   them).  A node budget bounds the search;
 4. each cube is decided by: boolean-literal consistency, a union-find over
    string equalities, and linear-integer reasoning.  Integer cubes are
    decided in pure Python: bounds propagation with integer tightening,
@@ -74,12 +79,12 @@ from repro.errors import ProverError
 
 #: Version of the decision procedure; part of the persistent verdict-store
 #: salt (see :mod:`repro.core.persist`) so verdicts computed by an older
-#: prover can never satisfy a lookup after the procedure changes (4:
-#: quantifier instantiation and product congruence).
-PROVER_VERSION = "4"
+#: prover can never satisfy a lookup after the procedure changes (5: the
+#: search replaces the DNF expansion; integer array congruence is lazy).
+PROVER_VERSION = "5"
 
-#: Maximum number of DNF cubes explored before giving up with UNKNOWN.
-MAX_CUBES = 4096
+#: Search nodes one decision may visit before it gives up with UNKNOWN.
+MAX_NODES = 20_000
 
 #: How far from its first (nearest-zero) value back-substitution moves a
 #: variable before it backtracks.
@@ -150,7 +155,10 @@ _memo_stats = {
     "cubes_sat": 0,
     "cubes_unsat": 0,
     "cubes_open": 0,  # integer cubes left undecided (UNKNOWN)
-    "cubes_refuted": 0,  # cubes the pre-check skipped while seeking a SAT one
+    "search_nodes": 0,  # partial cubes the search visited
+    "search_pruned": 0,  # nodes whose literals' intervals already contradict
+    "search_leaves": 0,  # nodes with no disjunction left to branch on
+    "congruence_splits": 0,  # leaves split on two fields' indices
 }
 
 
@@ -159,7 +167,8 @@ def prover_cache_stats() -> dict:
 
     Includes the simplify/query hit and miss counts, per-table entry counts,
     derived hit rates, how many integer cubes came out SAT, UNSAT or
-    undecided, and how many cubes the interval pre-check set aside.
+    undecided, and the search's nodes, nodes pruned by bounds, leaves and
+    congruence splits.
     """
     stats = dict(_memo_stats)
     stats["term_memo_size"] = len(_term_memo)
@@ -615,7 +624,7 @@ def _instantiate_quantifiers(goal: Formula) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# NNF / DNF
+# NNF
 # ---------------------------------------------------------------------------
 
 
@@ -647,67 +656,6 @@ def _nnf(formula: Formula, negate: bool) -> Formula:
     if isinstance(formula, BoolAtom):
         return Not(formula) if negate else formula
     raise ProverError(f"formula not opacified before NNF: {formula!r}")
-
-
-def _dnf_size(formula: Formula) -> int | None:
-    """Length of :func:`_dnf_cubes`'s result without building it.
-
-    Follows its cap check for check: an ``Or`` sums and an ``And``
-    multiplies its operands' counts, each tested against ``MAX_CUBES``
-    after every operand, so the count is None exactly when the cubes are.
-    """
-    if isinstance(formula, Or):
-        total = 0
-        for op in formula.operands:
-            sub = _dnf_size(op)
-            if sub is None:
-                return None
-            total += sub
-            if total > MAX_CUBES:
-                return None
-        return total
-    if isinstance(formula, And):
-        total = 1
-        for op in formula.operands:
-            sub = _dnf_size(op)
-            if sub is None:
-                return None
-            total *= sub
-            if total > MAX_CUBES:
-                return None
-        return total
-    if isinstance(formula, Bottom):
-        return 0
-    return 1
-
-
-def _dnf_cubes(formula: Formula) -> list | None:
-    """Cubes (lists of literals) of the DNF; None if the cap is exceeded."""
-    if isinstance(formula, Or):
-        cubes: list = []
-        for op in formula.operands:
-            sub = _dnf_cubes(op)
-            if sub is None:
-                return None
-            cubes.extend(sub)
-            if len(cubes) > MAX_CUBES:
-                return None
-        return cubes
-    if isinstance(formula, And):
-        cubes = [[]]
-        for op in formula.operands:
-            sub = _dnf_cubes(op)
-            if sub is None:
-                return None
-            cubes = [cube + extra for cube in cubes for extra in sub]
-            if len(cubes) > MAX_CUBES:
-                return None
-        return cubes
-    if isinstance(formula, Top):
-        return [[]]
-    if isinstance(formula, Bottom):
-        return []
-    return [[formula]]
 
 
 # ---------------------------------------------------------------------------
@@ -1272,41 +1220,201 @@ def _decide_cube(literals: Sequence[Formula]):
     return Verdict.SAT, model
 
 
-def _refuted(cube: Sequence[Formula]) -> bool:
-    """Whether the cube's literals already contradict, without solving it.
+# ---------------------------------------------------------------------------
+# branch-and-prune search
+# ---------------------------------------------------------------------------
 
-    Intersects the literals' interval facts (bool atoms as ``p ∈ [b, b]``)
-    key by key, in literal order, and answers True at the first empty
-    interval or self-refuting literal: the cube then has no model, so the
-    solver cannot find it SAT.  Answers False at the first literal that
-    :func:`_decide_cube` would leave undecided, since the solver stops
-    there anyway.
+
+class _Node:
+    """A partial cube of the search: the literals its branch asserts and
+    the disjunctions it has yet to choose from.
+
+    ``literals`` are those :func:`_decide_cube` can decide; ``open`` is
+    set by any other (a nonlinear or otherwise unsupported literal), which
+    leaves a leaf undecided but never stops the others from pruning.
+    ``intervals`` intersects the literals' interval facts, bool atoms as
+    ``p ∈ [b, b]``.
+    ``decided`` is a cube decision of ``literals``: a SAT one is kept
+    while its model satisfies each literal that joins them.
     """
-    intervals: dict = {}
-    for literal in cube:
-        kind, a, b = _classify(literal)
+
+    __slots__ = ("literals", "open", "seen", "intervals", "pending", "decided")
+
+    def __init__(self, parent: "_Node | None" = None) -> None:
+        if parent is None:
+            self.literals, self.open, self.pending = [], False, []
+            self.seen, self.intervals = set(), {}
+            self.decided = (Verdict.SAT, {})
+        else:
+            self.literals, self.open = list(parent.literals), parent.open
+            self.seen, self.intervals = set(parent.seen), dict(parent.intervals)
+            self.pending, self.decided = list(parent.pending), parent.decided
+
+    def add(self, formula: Formula) -> bool:
+        """Assert an NNF formula; False when the literals now contradict."""
+        if isinstance(formula, And):
+            return all(self.add(op) for op in formula.operands)
+        if isinstance(formula, Or):
+            self.pending.append(formula)
+            return True
+        if isinstance(formula, Bottom):
+            return False
+        if isinstance(formula, Top) or formula in self.seen:
+            return True
+        self.seen.add(formula)
+        kind, a, b = _classify(formula)
         if kind == _INT:
             constraints, _atoms, facts = _literal_entry(a)
             if constraints is None:
-                return False
-            if facts is None:
+                self.open = True
                 return True
+            if facts is None:
+                return False
         elif kind == _BOOL:
             facts = ((a, b, b),)
         elif kind == _FALSE:
-            return True
-        elif kind == _OPEN:
             return False
+        elif kind == _OPEN:
+            self.open = True
+            return True
         else:
-            continue
+            facts = ()
         for key, low, high in facts:
-            kept = intervals.get(key)
+            kept = self.intervals.get(key)
             if kept is not None:
                 low, high = max(low, kept[0]), min(high, kept[1])
                 if low > high:
-                    return True
-            intervals[key] = (low, high)
-    return False
+                    return False
+            self.intervals[key] = (low, high)
+        self.literals.append(formula)
+        if self.decided is not None and not _model_satisfies(self.decided, kind, a, b):
+            self.decided = None
+        return True
+
+    def branch(self) -> Or | None:
+        """Take the pending disjunction with the fewest operands (the first
+        such); one with an operand already asserted is dropped as settled."""
+        live = [d for d in self.pending if not any(op in self.seen for op in d.operands)]
+        best = min(range(len(live)), key=lambda i: len(live[i].operands), default=None)
+        self.pending = live
+        return None if best is None else live.pop(best)
+
+
+def _model_satisfies(decided: tuple, kind: int, a, b) -> bool:
+    """Whether a SAT decision's model assigns and satisfies a literal of
+    :func:`_classify` kind ``kind`` (integer and bool literals only)."""
+    verdict, model = decided
+    if verdict != Verdict.SAT:
+        return False
+    if kind == _BOOL:
+        return model.get(a) == b
+    if kind != _INT:
+        return kind == _TRUE
+    constraints = _literal_entry(a)[0]
+    return all(var in model for c in constraints for var in c.coeffs) and _check_int_assignment(
+        constraints, model
+    )
+
+
+def _value(term: Term, model: dict) -> int:
+    """An integer term's value in ``model``; an atom the model leaves free
+    is fixed at 0 there."""
+    if isinstance(term, IntConst):
+        return term.value
+    if isinstance(term, Add):
+        return _value(term.left, model) + _value(term.right, model)
+    if isinstance(term, Sub):
+        return _value(term.left, model) - _value(term.right, model)
+    if isinstance(term, Mul):
+        return _value(term.left, model) * _value(term.right, model)
+    if isinstance(term, Neg):
+        return -_value(term.operand, model)
+    return model.setdefault(term, 0)
+
+
+def _congruence_conflict(literals: Sequence[Formula], model: dict) -> tuple | None:
+    """Two integer fields of one array attribute that ``model`` puts at one
+    index with different values, in the literals' order; None when the
+    model is congruent.  Assigns every field's index atoms in ``model``."""
+    groups: dict = {}
+    for literal in literals:
+        for atom in literal.atoms():
+            if isinstance(atom, tm.Field):
+                index = _value(atom.index, model)
+                if atom.sort == "int":
+                    groups.setdefault((atom.array, atom.attr), {})[atom] = index
+    for group in groups.values():
+        fields = list(group.items())
+        for i, (left, index) in enumerate(fields):
+            for right, other in fields[i + 1 :]:
+                if index == other and _value(left, model) != _value(right, model):
+                    return left, right
+    return None
+
+
+_ABSTRACT_MODEL = "model found only for an abstraction"
+
+
+def _search(nnf: Formula, opacifier: _Opacifier, instantiate: bool) -> ProofResult:
+    """Satisfiability of an NNF goal by branch and prune (step 3).
+
+    Depth first from the goal's own literals: each node adds one operand
+    of its parent's chosen disjunction, and is cut off when its literals'
+    intervals contradict or :func:`_decide_cube` refutes them, so no cube
+    below a contradiction is built.  A leaf (no disjunction left) whose
+    model relates two integer fields incongruently is split into the
+    three cases of ``i == j → a[i] == a[j]``: ``i < j``, ``i > j`` and
+    ``i == j ∧ a[i] == a[j]``.  With ``instantiate``, a leaf that is SAT
+    only through the abstraction is refuted, where it can be, by
+    instantiating its quantifiers (:func:`_refuted_by_instances`).  More
+    than ``MAX_NODES`` nodes give UNKNOWN.
+    """
+    stack = [(_Node(), (nnf,))]
+    nodes = 0
+    undecided = False
+    while stack:
+        parent, parts = stack.pop()
+        nodes += 1
+        if nodes > MAX_NODES:
+            return ProofResult(Verdict.UNKNOWN, reason="search node budget exceeded")
+        _memo_stats["search_nodes"] += 1
+        node = _Node(parent)
+        if not all(node.add(part) for part in parts):
+            _memo_stats["search_pruned"] += 1
+            continue
+        if node.decided is None:
+            node.decided = _decide_cube(node.literals)
+        verdict, model = node.decided
+        if verdict == Verdict.UNSAT:
+            continue
+        disjunction = node.branch()
+        if disjunction is not None:
+            stack.extend((node, (op,)) for op in reversed(disjunction.operands))
+            continue
+        _memo_stats["search_leaves"] += 1
+        if verdict == Verdict.UNKNOWN or node.open:
+            undecided = True
+            continue
+        model = dict(model)
+        conflict = _congruence_conflict(node.literals, model)
+        if conflict is not None:
+            _memo_stats["congruence_splits"] += 1
+            left, right = conflict
+            cases = (
+                (Cmp("<", left.index, right.index),),
+                (Cmp(">", left.index, right.index),),
+                (Cmp("==", left.index, right.index), Cmp("==", left, right)),
+            )
+            stack.extend((node, case) for case in reversed(cases))
+            continue
+        if instantiate and _refuted_by_instances(node.literals, opacifier):
+            continue
+        if opacifier.used:
+            return ProofResult(Verdict.UNKNOWN, model=model, abstracted=True, reason=_ABSTRACT_MODEL)
+        return ProofResult(Verdict.SAT, model=model)
+    if undecided:
+        return ProofResult(Verdict.UNKNOWN, reason="some cubes undecided")
+    return ProofResult(Verdict.UNSAT, abstracted=opacifier.used)
 
 
 # ---------------------------------------------------------------------------
@@ -1366,14 +1474,16 @@ def _congruence_axioms(goal: Formula, known: dict | None = None) -> list:
     Two ``Field`` atoms over the same array and attribute denote the same
     location exactly when their indices agree; without these axioms the
     linear core would treat ``a[i]`` and ``a[j]`` as unrelated even under an
-    assumed ``i == j``.  A retry passes ``known``, the literals its goal
-    asserts (:func:`_literal_table`), and relates the terms it makes
-    opaque as well: two products of non-constant terms are equal when
-    their factors are, pairwise, and two counts over one table when their
-    WHERE clauses differ only in equal subterms (:func:`_differences`).
-    There an axiom whose premise the goal refutes is dropped, and one whose
-    premise it asserts is reduced to its conclusion, so the DNF need not
-    triple per axiom.
+    assumed ``i == j``.  Two integer fields get no axiom: :func:`_search`
+    splits a leaf whose model relates them incongruently instead.  A
+    retry passes ``known``, the literals its goal asserts
+    (:func:`_literal_table`), and relates the terms it makes opaque as
+    well: two products of non-constant terms are equal when their factors
+    are, pairwise, and two counts over one table when their WHERE clauses
+    differ only in equal subterms (:func:`_differences`).  There an axiom
+    whose premise the goal refutes is dropped, and one whose premise it
+    asserts is reduced to its conclusion, so the search need not branch
+    per axiom.
     """
     pairs: list = []
     fields: dict = {}
@@ -1384,7 +1494,7 @@ def _congruence_axioms(goal: Formula, known: dict | None = None) -> list:
         ordered = sorted(group, key=repr)
         for i, left in enumerate(ordered):
             for right in ordered[i + 1 :]:
-                if left.index != right.index:
+                if left.index != right.index and not left.sort == right.sort == "int":
                     pairs.append(((Cmp("==", left.index, right.index),), left, right))
     if known is not None:
         products = sorted(_products(goal, {}), key=repr)
@@ -1405,7 +1515,7 @@ def _congruence_axioms(goal: Formula, known: dict | None = None) -> list:
                         pairs.append((differences, left, right))
     if known is None:
         return [fm.implies(conj(*premise), Cmp("==", left, right)) for premise, left, right in pairs]
-    # one implication per premise: the DNF branches once for all its equalities
+    # one implication per premise: the search branches once for all its equalities
     grouped: dict = {}
     for premise, left, right in pairs:
         premise = conj(*(known.get(part, part) for part in premise))
@@ -1515,7 +1625,7 @@ def _is_satisfiable_impl(formula: Formula, assumptions: tuple) -> ProofResult:
 
 
 def _retried(goal: Formula, result: ProofResult) -> ProofResult:
-    """The answer to a goal the DNF decision left open, after a retry.
+    """The answer to a goal the first search left open, after a retry.
 
     That decision reads each quantifier, aggregate and non-constant product
     as an unrelated atom.  A goal that reads a table or has such a product
@@ -1578,59 +1688,18 @@ def _strengthened(goal: Formula) -> tuple:
     return simplify(conj(*dict.fromkeys(asserted), rewrite_literals(goal, known))), known
 
 
-_ABSTRACT_MODEL = "model found only for an abstraction"
-
-
 def _decide_goal(
     goal: Formula, axioms: list, related: bool = False, instantiate: bool = False
 ) -> ProofResult:
-    """Satisfiability of a simplified goal and its axioms by DNF cubes (steps 1–4).
+    """Satisfiability of a simplified goal and its axioms (steps 1–4).
 
     ``related`` marks a goal of the retry: its products are opaque terms
-    too, and none of its models is a genuine one.  With ``instantiate``, a
-    cube that is SAT only through the abstraction is refuted, where it can
-    be, by instantiating its quantifiers (:func:`_refuted_by_instances`).
+    too, and none of its models is a genuine one.  ``instantiate`` is
+    passed to :func:`_search`.
     """
-    goal = conj(goal, *axioms)
     opacifier = _Opacifier(used=related, products=related)
-    abstracted_goal = opacifier.run(goal)
-    nnf = _nnf(abstracted_goal, negate=False)
-    if _dnf_size(nnf) is None:
-        return ProofResult(Verdict.UNKNOWN, reason="DNF size cap exceeded")
-    cubes = _dnf_cubes(nnf)
-    # cheapest cubes first: a single SAT cube ends the query, so trying the
-    # small ones early avoids deciding large cubes at all on SAT formulas
-    # (verdict-neutral: SAT is any-cube, UNSAT is all-cubes)
-    cubes.sort(key=len)
-    # a cube whose literals already contradict has no model, so it can
-    # never be the first SAT cube: set it aside while searching for one
-    saw_unknown = False
-    refuted = []
-    for cube in cubes:
-        if _refuted(cube):
-            refuted.append(cube)
-            _memo_stats["cubes_refuted"] += 1
-            continue
-        verdict, model = _decide_cube(cube)
-        if verdict == Verdict.SAT and instantiate and _refuted_by_instances(cube, opacifier):
-            continue
-        if verdict == Verdict.SAT:
-            if opacifier.used:
-                return ProofResult(
-                    Verdict.UNKNOWN, model=model, abstracted=True, reason=_ABSTRACT_MODEL
-                )
-            return ProofResult(Verdict.SAT, model=model)
-        if verdict == Verdict.UNKNOWN:
-            saw_unknown = True
-    # no cube is SAT: the set-aside cubes still decide UNSAT against
-    # "some cubes undecided", as the solver may leave one of them open
-    # (say, at the FAST_FM_ROWS cap) where the pre-check refutes it; a
-    # retry keeps only UNSAT, which the pre-check's refutations already are
-    if saw_unknown or (
-        not related and any(_decide_cube(cube)[0] == Verdict.UNKNOWN for cube in refuted)
-    ):
-        return ProofResult(Verdict.UNKNOWN, reason="some cubes undecided")
-    return ProofResult(Verdict.UNSAT, abstracted=opacifier.used)
+    nnf = _nnf(opacifier.run(conj(goal, *axioms)), negate=False)
+    return _search(nnf, opacifier, instantiate)
 
 
 def _refuted_by_instances(cube: Sequence[Formula], opacifier: _Opacifier) -> bool:

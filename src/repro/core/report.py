@@ -144,8 +144,9 @@ def analysis_stats_table(checker) -> str:
     )
     lines.append(
         f"integer cubes: {prover['cubes_sat']} sat / {prover['cubes_unsat']} unsat"
-        f" / {prover['cubes_open']} undecided,"
-        f" {prover['cubes_refuted']} set aside by the interval pre-check"
+        f" / {prover['cubes_open']} undecided; search: {prover['search_nodes']} nodes,"
+        f" {prover['search_pruned']} pruned by bounds, {prover['search_leaves']} leaves,"
+        f" {prover['congruence_splits']} congruence splits"
     )
     if cache.persist_hits:
         lines.append(

@@ -340,12 +340,6 @@ class MvccStore:
             raise EvaluationError(f"unknown array element {where}")
         return version.value[attr]
 
-    def record_image(self, array: str, index: int, snap: Snapshot | None = None) -> dict | None:
-        """The visible attribute dict of one record, or None."""
-        chain = self.records.get((array, index))
-        version = self._resolve(chain, snap) if chain else None
-        return None if version is None else dict(version.value)
-
     def _resolve(self, chain: Chain, snap: Snapshot | None) -> Version | None:
         if snap is None:
             return self._resolve_dirty(chain)

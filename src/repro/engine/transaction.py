@@ -119,10 +119,6 @@ class Txn:
         return "long" if self.level in _LONG_READ_LOCK else "short"
 
     @property
-    def validates_fcw(self) -> bool:
-        return self.level in (READ_COMMITTED_FCW, SNAPSHOT)
-
-    @property
     def takes_predicate_read_locks(self) -> bool:
         return self.level == SERIALIZABLE
 

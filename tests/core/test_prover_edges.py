@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import formula as fm
 from repro.core.formula import BoolAtom, Not, conj, disj, eq, ge, le, lt, ne
-from repro.core.prover import MAX_CUBES, Verdict, is_satisfiable, is_valid
+from repro.core.prover import Verdict, is_satisfiable, is_valid
 from repro.core.terms import (
     BoolConst,
     Field,
@@ -19,15 +19,16 @@ from repro.core.terms import (
 
 class TestCapsAndFallbacks:
     def test_dnf_cap_yields_unknown(self):
-        """A formula whose DNF exceeds the cube cap is UNKNOWN, not wrong."""
-        x = Local("x")
-        # each != splits into two cubes: 13 of them exceed 4096
+        """A formula whose DNF has 8192 cubes is decided, and genuinely.
+
+        Each ``!=`` splits into ``<`` or ``>``; the search takes one side of
+        each instead of expanding every combination.
+        """
         big = conj(*[ne(Local(f"x{i}"), 0) for i in range(13)])
         result = is_satisfiable(big)
-        assert result.verdict in (Verdict.SAT, Verdict.UNKNOWN)
-        if result.verdict == Verdict.SAT:
-            # if decided, the model must genuinely satisfy
-            assert all(value != 0 for value in result.model.values())
+        assert result.verdict == Verdict.SAT
+        assert len(result.model) == 13
+        assert all(value != 0 for value in result.model.values())
 
     def test_nonlinear_term_unknown(self):
         x, y = Local("x"), Local("y")

@@ -1,22 +1,17 @@
 """Exactness of the prover's settled-work shortcuts.
 
-``_dnf_size`` decides the DNF cap without building cubes, so it must agree
-with ``_dnf_cubes`` on every formula, overflow included.  The literal memo
-replays a literal's atoms into the cube's variable table, so a warm memo
-must number variables as a fresh translation does, and hence pick the
-models a cold memo picks; its interval facts must be a fresh
+The search gives up at ``MAX_NODES`` nodes, and not one node earlier.  The
+literal memo replays a literal's atoms into the cube's variable table, so
+a warm memo must number variables as a fresh translation does, and hence
+pick the models a cold memo picks; its interval facts must be a fresh
 translation's too.
 """
-
-import random
 
 import pytest
 
 import repro.core.prover as prover
-from repro.core.formula import FALSE, TRUE, And, Cmp, Or, conj, disj, ge, gt, le, lt
+from repro.core.formula import Cmp, conj, disj, ge, gt, le, lt
 from repro.core.prover import (
-    _dnf_cubes,
-    _dnf_size,
     _int_constraints_of_literal,
     _interval_facts,
     _literal_entry,
@@ -31,72 +26,45 @@ X, Y, Z = Item("x"), Item("y"), Item("z")
 LITERALS = [lt(X, Y), le(Y, Z), gt(Z, IntConst(2)), ge(X, IntConst(0)), Cmp("==", X, Z)]
 
 
-def _random_nnf(rng: random.Random, depth: int):
-    """Raw ``And``/``Or`` trees (no flattening) over literals, Top and Bottom."""
-    roll = rng.random()
-    if depth == 0 or roll < 0.25:
-        return rng.choice(LITERALS + [TRUE, FALSE])
-    operands = tuple(_random_nnf(rng, depth - 1) for _ in range(rng.randint(1, 4)))
-    return And(operands) if roll < 0.6 else Or(operands)
+#: ``x < i ∨ y > i`` for i = 0..2: alone (SAT at the first leaf), with
+#: ``x >= 5`` (SAT after backtracking) and with ``y <= 0`` too (UNSAT)
+BUDGET_QUERIES = [
+    conj(*(disj(lt(X, IntConst(i)), gt(Y, IntConst(i))) for i in range(3))),
+    conj(*(disj(lt(X, IntConst(i)), gt(Y, IntConst(i))) for i in range(3)), ge(X, IntConst(5))),
+    conj(
+        *(disj(lt(X, IntConst(i)), gt(Y, IntConst(i))) for i in range(3)),
+        ge(X, IntConst(5)),
+        le(Y, IntConst(0)),
+    ),
+]
 
 
-def _assert_agree(formula) -> None:
-    cubes = _dnf_cubes(formula)
-    size = _dnf_size(formula)
-    if cubes is None:
-        assert size is None, formula
-    else:
-        assert size == len(cubes), formula
-
-
-@pytest.mark.parametrize("cap", [1, 3, 8, 64, prover.MAX_CUBES])
-def test_dnf_size_agrees_with_cubes_on_random_formulas(cap, monkeypatch):
-    monkeypatch.setattr(prover, "MAX_CUBES", cap)
-    rng = random.Random(cap)
-    overflowed = fitted = 0
-    for _ in range(400):
-        formula = _random_nnf(rng, 4)
-        _assert_agree(formula)
-        overflowed += _dnf_cubes(formula) is None
-        fitted += _dnf_cubes(formula) is not None
-    if cap < 64:
-        assert overflowed and fitted  # both sides of the cap are exercised
-
-
-def _wide_or(n: int):
-    return Or(tuple(LITERALS[i % len(LITERALS)] for i in range(n)))
-
-
-def test_dnf_size_cap_edges(monkeypatch):
-    monkeypatch.setattr(prover, "MAX_CUBES", 6)
-    cases = [
-        And((_wide_or(7), FALSE)),  # overflows before the Bottom zeroes it
-        And((FALSE, _wide_or(7))),  # zero first; the overflowing operand still counts
-        And((_wide_or(2), _wide_or(3))),  # exactly at the cap
-        And((_wide_or(2), _wide_or(3), _wide_or(2))),  # over it
-        Or((_wide_or(3), _wide_or(3))),  # a sum exactly at the cap
-        Or((_wide_or(3), _wide_or(4))),  # one over it
-        Or((_wide_or(7), FALSE)),
-        And(()),
-        Or(()),
-        TRUE,
-        FALSE,
-    ]
-    for formula in cases:
-        _assert_agree(formula)
-    assert _dnf_size(cases[0]) is None and _dnf_size(cases[1]) is None
-    assert _dnf_size(cases[2]) == 6 and _dnf_size(cases[3]) is None
-    assert _dnf_size(cases[4]) == 6 and _dnf_size(cases[5]) is None
-    assert _dnf_size(FALSE) == 0 and _dnf_size(TRUE) == 1
+def _nodes_needed(goal) -> tuple:
+    """The verdict of ``goal`` at the default budget and the nodes it took."""
+    clear_prover_caches()
+    result = is_satisfiable(goal)
+    return result.verdict, prover_cache_stats()["search_nodes"]
 
 
 def test_capped_query_keeps_its_verdict_and_reason(monkeypatch):
-    monkeypatch.setattr(prover, "MAX_CUBES", 4)
+    monkeypatch.setattr(prover, "MAX_NODES", 2)
     clear_prover_caches()
-    goal = conj(*(disj(lt(X, IntConst(i)), gt(Y, IntConst(i))) for i in range(3)))
-    result = is_satisfiable(goal)
+    result = is_satisfiable(BUDGET_QUERIES[0])
     assert result.verdict == prover.Verdict.UNKNOWN
-    assert result.reason == "DNF size cap exceeded"
+    assert result.reason == "search node budget exceeded"
+    assert prover_cache_stats()["search_nodes"] == 2
+
+
+@pytest.mark.parametrize("goal", BUDGET_QUERIES)
+def test_node_budget_edges(goal, monkeypatch):
+    verdict, needed = _nodes_needed(goal)
+    assert verdict in (prover.Verdict.SAT, prover.Verdict.UNSAT) and needed > 2
+    monkeypatch.setattr(prover, "MAX_NODES", needed)
+    assert _nodes_needed(goal) == (verdict, needed)
+    monkeypatch.setattr(prover, "MAX_NODES", needed - 1)
+    clear_prover_caches()
+    result = is_satisfiable(goal)
+    assert (result.verdict, result.reason) == (prover.Verdict.UNKNOWN, "search node budget exceeded")
 
 
 def test_warm_literal_memo_gives_the_cold_model():
@@ -146,17 +114,18 @@ def test_clear_prover_caches_empties_the_literal_memo():
 
 
 def test_refuted_counter_moves_on_a_sat_query_and_resets():
-    # the cube {x < 0, x > 2} sorts first and contradicts; {y > 1, z > 0} is SAT
+    # the branch {x < 0, x > 2} is tried first and its intervals contradict;
+    # {y > 1, z > 0} is a SAT leaf
     clear_prover_caches()
     result = is_satisfiable(
         disj(conj(lt(X, IntConst(0)), gt(X, IntConst(2))), conj(gt(Y, IntConst(1)), gt(Z, IntConst(0))))
     )
     assert result.verdict == prover.Verdict.SAT
     stats = prover_cache_stats()
-    assert stats["cubes_refuted"] == 1
+    assert (stats["search_nodes"], stats["search_pruned"], stats["search_leaves"]) == (3, 1, 1)
     assert stats["cubes_sat"] == 1 and stats["cubes_unsat"] == 0
     clear_prover_caches()
-    assert prover_cache_stats()["cubes_refuted"] == 0
+    assert prover_cache_stats()["search_pruned"] == 0
 
 
 def test_warm_literal_memo_gives_the_fresh_facts():

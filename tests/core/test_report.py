@@ -99,15 +99,16 @@ class TestAnalysisStatsTable:
         checker = InterferenceChecker(app.spec)
         clear_prover_caches()
         x, y = Item("x"), Item("y")
-        # {x <= 0, x >= 1} contradicts and sorts first; {y >= 2, y <= 3} is SAT
+        # the root branches in two: {x <= 0, x >= 1} is pruned by its
+        # intervals, and {y >= 2, y <= 3} is a SAT leaf
         is_satisfiable((le(x, 0) & ge(x, 1)) | (ge(y, 2) & le(y, 3)))
         line = next(
             line for line in analysis_stats_table(checker).splitlines()
             if line.startswith("integer cubes:")
         )
         assert line == (
-            "integer cubes: 1 sat / 0 unsat / 0 undecided,"
-            " 1 set aside by the interval pre-check"
+            "integer cubes: 1 sat / 0 unsat / 0 undecided; search: 3 nodes,"
+            " 1 pruned by bounds, 1 leaves, 0 congruence splits"
         )
 
     def test_tier2_decline_census_counts_every_bmc_obligation(self):

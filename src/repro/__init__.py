@@ -23,58 +23,57 @@ Quickstart::
     app = banking.make_application()
     report = analyze_application(app, InterferenceChecker(app.spec))
     print(report.render())
+
+The public names below resolve on first use (PEP 562), so ``import repro``
+loads none of the layers, and a static analysis never loads the engine or
+the scheduler behind ``Engine`` and ``Simulator``.
 """
 
-from repro.core.application import Application
-from repro.core.chooser import ApplicationReport, ChoiceResult, analyze_application, choose_level
-from repro.core.conditions import (
-    ANSI_LADDER,
-    EXTENDED_LADDER,
-    READ_COMMITTED,
-    READ_COMMITTED_FCW,
-    READ_UNCOMMITTED,
-    REPEATABLE_READ,
-    SERIALIZABLE,
-    SNAPSHOT,
-    check_transaction_at,
-)
-from repro.core.interference import InterferenceChecker
-from repro.core.parser import parse_formula, parse_term
-from repro.core.program import TransactionType
-from repro.core.state import DbState
-from repro.engine import Engine
-from repro.sched.monitor import AssertionGuard, AssertionMonitor
-from repro.sched.semantic import check_semantic_correctness, validate_level
-from repro.sched.simulator import InstanceSpec, Simulator
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ANSI_LADDER",
-    "Application",
-    "AssertionGuard",
-    "AssertionMonitor",
-    "ApplicationReport",
-    "ChoiceResult",
-    "DbState",
-    "EXTENDED_LADDER",
-    "Engine",
-    "InstanceSpec",
-    "InterferenceChecker",
-    "READ_COMMITTED",
-    "READ_COMMITTED_FCW",
-    "READ_UNCOMMITTED",
-    "REPEATABLE_READ",
-    "SERIALIZABLE",
-    "SNAPSHOT",
-    "Simulator",
-    "TransactionType",
-    "analyze_application",
-    "parse_formula",
-    "parse_term",
-    "check_semantic_correctness",
-    "check_transaction_at",
-    "choose_level",
-    "validate_level",
-    "__version__",
-]
+#: Public name -> the module that defines it.
+_EXPORTS = {
+    "ANSI_LADDER": "repro.core.conditions",
+    "Application": "repro.core.application",
+    "AssertionGuard": "repro.sched.monitor",
+    "AssertionMonitor": "repro.sched.monitor",
+    "ApplicationReport": "repro.core.chooser",
+    "ChoiceResult": "repro.core.chooser",
+    "DbState": "repro.core.state",
+    "EXTENDED_LADDER": "repro.core.conditions",
+    "Engine": "repro.engine.manager",
+    "InstanceSpec": "repro.sched.simulator",
+    "InterferenceChecker": "repro.core.interference",
+    "READ_COMMITTED": "repro.core.conditions",
+    "READ_COMMITTED_FCW": "repro.core.conditions",
+    "READ_UNCOMMITTED": "repro.core.conditions",
+    "REPEATABLE_READ": "repro.core.conditions",
+    "SERIALIZABLE": "repro.core.conditions",
+    "SNAPSHOT": "repro.core.conditions",
+    "Simulator": "repro.sched.simulator",
+    "TransactionType": "repro.core.program",
+    "analyze_application": "repro.core.chooser",
+    "parse_formula": "repro.core.parser",
+    "parse_term": "repro.core.parser",
+    "check_semantic_correctness": "repro.sched.semantic",
+    "check_transaction_at": "repro.core.conditions",
+    "choose_level": "repro.core.chooser",
+    "validate_level": "repro.sched.semantic",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

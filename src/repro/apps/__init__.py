@@ -18,16 +18,30 @@ application and rebuild it from the registry on their side.
 
 from __future__ import annotations
 
+import importlib
+
+#: Short name -> (module under :mod:`repro.apps`, factory arguments).
+_FACTORIES = {
+    "banking": ("banking", ()),
+    "customers": ("customers", ()),
+    "employees": ("employees", ()),
+    "orders": ("orders", ("no_gap",)),
+    "orders-strict": ("orders", ("one_order",)),
+    "tpcc": ("tpcc", ()),
+}
+
+
+def _factory(module: str, args: tuple):
+    def make_application():
+        return importlib.import_module(f"repro.apps.{module}").make_application(*args)
+
+    return make_application
+
 
 def registry() -> dict:
-    """Short name -> zero-argument application factory, for CLI and jobs."""
-    from repro.apps import banking, customers, employees, orders, tpcc
+    """Short name -> zero-argument application factory, for CLI and jobs.
 
-    return {
-        "banking": banking.make_application,
-        "customers": customers.make_application,
-        "employees": employees.make_application,
-        "orders": lambda: orders.make_application("no_gap"),
-        "orders-strict": lambda: orders.make_application("one_order"),
-        "tpcc": tpcc.make_application,
-    }
+    A factory imports its application's module only when called, so
+    naming one application never loads the other four.
+    """
+    return {name: _factory(*entry) for name, entry in _FACTORIES.items()}

@@ -52,15 +52,12 @@ import json
 import os
 import sys
 
-from repro.core.cache import VerdictCache, shared_cache
-from repro.core.conditions import LEVEL_ORDER
-from repro.core.report import (
-    abstract_predicate_note,
-    analysis_stats_table,
-    failure_details,
-    level_table,
-)
+from repro import __version__
 from repro.errors import ReproError
+
+# Each command imports the layers it runs inside its ``cmd_*`` function:
+# ``analyze`` and ``lint`` load the static core and one application, never
+# the engine, the scheduler or the service.
 
 #: Uniform exit codes (see module docstring and docs/SERVICE.md).
 EXIT_OK = 0
@@ -70,17 +67,6 @@ EXIT_INTERNAL = 3
 EXIT_CONNECT = 4
 EXIT_BUSY = 5
 EXIT_DEADLINE = 6
-
-
-def _version() -> str:
-    try:
-        from importlib.metadata import version
-
-        return version("repro")
-    except Exception:  # pragma: no cover - metadata always present when installed
-        from repro import __version__
-
-        return __version__
 
 
 def _app_registry() -> dict:
@@ -108,6 +94,8 @@ def cmd_apps(_args) -> int:
 
 
 def cmd_levels(_args) -> int:
+    from repro.core.conditions import LEVEL_ORDER
+
     for level in sorted(LEVEL_ORDER, key=LEVEL_ORDER.get):
         print(level)
     return 0
@@ -134,21 +122,14 @@ def _telemetry_summary(histogram) -> str:
     )
 
 
-def _storage_summary() -> str:
-    from repro.engine.storage import STORAGE_STATS
-
-    snap = STORAGE_STATS.snapshot()
-    captures = snap["snapshot_captures"]
-    capture_mean = snap["snapshot_capture_seconds"]["mean"]
-    return (
-        f"storage: {captures} snapshot captures,"
-        f" mean {capture_mean * 1e6:.2f} us,"
-        f" {snap['vacuum_passes']} vacuum passes,"
-        f" {snap['vacuum_reclaimed']} versions reclaimed"
-    )
-
-
 def cmd_analyze(args) -> int:
+    from repro.core.cache import VerdictCache, shared_cache
+    from repro.core.report import (
+        abstract_predicate_note,
+        analysis_stats_table,
+        failure_details,
+        level_table,
+    )
     from repro.pipeline.jobs import JobSpec, run_job
 
     _load_app(args.app)  # fail early with the canonical unknown-app message
@@ -189,7 +170,6 @@ def cmd_analyze(args) -> int:
             print()
             print(analysis_stats_table(checker))
             print(_telemetry_summary(histogram))
-            print(_storage_summary())
         return job.exit_code
     if args.json:
         print(json.dumps({**job.payload, **job.extras}, indent=2))
@@ -209,7 +189,6 @@ def cmd_analyze(args) -> int:
         print()
         print(analysis_stats_table(checker))
         print(_telemetry_summary(histogram))
-        print(_storage_summary())
     return job.exit_code
 
 
@@ -242,6 +221,8 @@ def _parse_type_levels(assignments, known_types=None) -> dict:
     the levels dict and never applied.  Both fail here with the list of
     valid choices instead.
     """
+    from repro.core.conditions import LEVEL_ORDER
+
     levels = {}
     for assignment in assignments or []:
         name, sep, level = assignment.partition("=")
@@ -344,6 +325,8 @@ def _unknown_scenario(name: str, scenarios: dict):
 
 
 def _validate_level(level: str) -> None:
+    from repro.core.conditions import LEVEL_ORDER
+
     if level not in LEVEL_ORDER:
         raise SystemExit(
             f"unknown isolation level {level!r};"
@@ -834,7 +817,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Semantic correctness at weak isolation levels (ICDE 2000), mechanised.",
     )
     parser.add_argument(
-        "--version", action="version", version=f"repro {_version()}",
+        "--version", action="version", version=f"repro {__version__}",
         help="print the package version and exit",
     )
     sub = parser.add_subparsers(dest="command", required=True)

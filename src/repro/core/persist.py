@@ -47,7 +47,6 @@ from __future__ import annotations
 import json
 import os
 import time
-import uuid
 from pathlib import Path
 
 from repro.core.cache import FINGERPRINT_VERSION, VerdictCache
@@ -275,6 +274,8 @@ class SegmentLog:
         ``mark`` records the segment as already-absorbed, so a later
         refresh does not re-read our own flush.
         """
+        import uuid  # only writing a segment needs it
+
         self.directory.mkdir(parents=True, exist_ok=True)
         name = f"{self.prefix}-{os.getpid()}-{uuid.uuid4().hex[:8]}.jsonl"
         final = self.directory / name

@@ -5,31 +5,8 @@ exhaustive schedule explorer (:mod:`repro.sched.explore`) through a shared
 :class:`~repro.pipeline.context.RunContext`, and reconciles both layers
 into a :class:`~repro.pipeline.certify.CertificateReport` — the artifact
 behind ``repro certify``.
+
+The package re-exports nothing: ``repro analyze`` needs only
+:mod:`repro.pipeline.jobs`, and importing the package must not pull the
+explorer and the engine in behind it.  Import from the submodules.
 """
-
-from repro.pipeline.certify import (
-    CertificateReport,
-    DynamicProbe,
-    TypeVerdict,
-    Witness,
-    certify,
-    classify,
-    level_below,
-    run_probe,
-)
-from repro.pipeline.context import RunContext
-from repro.pipeline.scenarios import Scenario, scenarios_for
-
-__all__ = [
-    "CertificateReport",
-    "DynamicProbe",
-    "RunContext",
-    "Scenario",
-    "TypeVerdict",
-    "Witness",
-    "certify",
-    "classify",
-    "level_below",
-    "run_probe",
-    "scenarios_for",
-]

@@ -218,12 +218,15 @@ def _run_analyze_job(
         check_transaction_at,
     )
     from repro.core.interference import InterferenceChecker
-    from repro.core.persist import open_store
 
     app = registry()[spec.app]()
     if cache is None:
         cache = shared_cache()
-    store = open_store(cache_dir, no_persist=no_persist)
+    store = None
+    if not no_persist:
+        from repro.core.persist import open_store
+
+        store = open_store(cache_dir)
     if store is not None:
         store.load(cache)
     checker = InterferenceChecker(app.spec, budget=spec.budget, seed=spec.seed, cache=cache)

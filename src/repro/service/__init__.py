@@ -21,22 +21,8 @@ lint requests over JSON-HTTP at the warm cost.  Pieces:
 
 Everything is stdlib-only: ``asyncio`` streams plus a hand-rolled
 HTTP/1.1 request parser, no third-party server framework.
+
+The package re-exports nothing, so ``analyze --stats`` can take
+:class:`~repro.service.telemetry.Registry` without loading the server and
+``asyncio``.  Import from the submodules.
 """
-
-from repro.service.batcher import Batcher, QueueFullError
-from repro.service.client import ServiceClient, ServiceError
-from repro.service.server import ReproService, ServiceConfig
-from repro.service.telemetry import Counter, Gauge, Histogram, Registry
-
-__all__ = [
-    "Batcher",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "QueueFullError",
-    "Registry",
-    "ReproService",
-    "ServiceClient",
-    "ServiceConfig",
-    "ServiceError",
-]

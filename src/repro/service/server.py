@@ -50,6 +50,9 @@ import asyncio
 import os
 import time
 
+# The server answers certify jobs, so it loads the explorer and the engine
+# behind them at boot, where no request pays the ~65 ms import.
+import repro.pipeline.certify  # noqa: F401
 from repro.core.cache import VerdictCache
 from repro.core.persist import open_store
 from repro.errors import ReproError

@@ -10,14 +10,9 @@ import json
 import pytest
 
 from repro.core.conditions import ANSI_LADDER
-from repro.pipeline import (
-    RunContext,
-    certify,
-    classify,
-    level_below,
-    run_probe,
-    scenarios_for,
-)
+from repro.pipeline.certify import certify, classify, level_below, run_probe
+from repro.pipeline.context import RunContext
+from repro.pipeline.scenarios import scenarios_for
 from repro.sched.histories import replay
 
 

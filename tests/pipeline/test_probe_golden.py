@@ -15,7 +15,9 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ScheduleError
-from repro.pipeline import RunContext, run_probe, scenarios_for
+from repro.pipeline.certify import run_probe
+from repro.pipeline.context import RunContext
+from repro.pipeline.scenarios import scenarios_for
 from repro.sched.explore import Explorer
 from repro.sched.monitor import AssertionMonitor
 from repro.sched.semantic import check_semantic_correctness

@@ -359,32 +359,10 @@ class TestRemovedFanOutFlags:
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    @staticmethod
-    def _fresh_import_check(code: str) -> None:
-        """Run ``code`` in a fresh interpreter over this checkout's ``src``."""
-        import subprocess
-        import sys
-        import textwrap
-        from pathlib import Path
-
-        root = Path(__file__).resolve().parents[1]
-        result = subprocess.run(
-            [sys.executable, "-c", textwrap.dedent(code)],
-            capture_output=True,
-            text=True,
-            env={
-                "PYTHONPATH": str(root / "src"),
-                "PATH": "/usr/bin:/bin",
-                "PYTHONDONTWRITEBYTECODE": "1",
-            },
-            cwd=root,
-        )
-        assert result.returncode == 0, result.stderr
-
-    def test_cold_cli_import_leaves_multiprocessing_out(self):
+    def test_cold_cli_import_leaves_multiprocessing_out(self, fresh_import_check):
         """No in-run executor means the cold CLI path never imports
         multiprocessing (it cost 15-22 ms of every cold start)."""
-        self._fresh_import_check(
+        fresh_import_check(
             """
             import sys
             import repro.cli, repro.pipeline.jobs, repro.core.interference
@@ -392,16 +370,66 @@ class TestRemovedFanOutFlags:
             """
         )
 
-    def test_cold_cli_import_leaves_networkx_out(self):
+    def test_cold_cli_import_leaves_networkx_out(self, fresh_import_check):
         """The waits-for graph is a plain dict, so neither the CLI nor the
         simulator and isolation checker behind it imports networkx (it
         cost ~125 ms of every cold start)."""
-        self._fresh_import_check(
+        fresh_import_check(
             """
             import sys
             import repro.cli, repro.pipeline.jobs, repro.core.interference
             import repro.sched.simulator, repro.sched.isolation
             assert "networkx" not in sys.modules, "networkx imported"
+            """
+        )
+
+    #: Layers the static commands never run.  ``asyncio`` stands in for
+    #: the service's server half, which alone costs ~34 ms to import.
+    DYNAMIC_LAYERS = (
+        "repro.engine",
+        "repro.sched",
+        "repro.service",
+        "repro.fuzz",
+        "repro.workloads",
+        "repro.pipeline.certify",
+        "repro.pipeline.scenarios",
+        "repro.apps.",
+        "asyncio",
+    )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "banking", "--no-persist", "--json"],
+            ["analyze", "customers", "--no-persist", "--json"],
+            ["analyze", "employees", "--no-persist", "--json"],
+            ["analyze", "orders", "--no-persist", "--json"],
+            ["analyze", "tpcc", "--budget", "24", "--ladder", "extended",
+             "--snapshot", "--no-persist", "--json"],
+            ["analyze", "banking", "--stats"],
+            ["lint", "employees"],
+        ],
+        ids=" ".join,
+    )
+    def test_static_command_loads_only_the_static_core(self, argv, fresh_import_check):
+        """``analyze`` and ``lint`` load the static core and the one named
+        application: no engine, scheduler, service, fuzzer, workload
+        generator or certify pipeline, and no other bundled app.
+        ``--stats`` may add the telemetry registry, not the server."""
+        allowed = [f"repro.apps.{argv[1]}"]
+        if "--stats" in argv:
+            allowed += ["repro.service", "repro.service.telemetry"]
+        fresh_import_check(
+            f"""
+            import contextlib, io, sys
+            from repro.cli import main
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main({argv!r}) == 0
+            extra = sorted(
+                name for name in sys.modules
+                if name.startswith({self.DYNAMIC_LAYERS!r}) and name not in {allowed!r}
+            )
+            assert not extra, extra
             """
         )
 

@@ -30,6 +30,45 @@ class TestExports:
         assert len(repro.EXTENDED_LADDER) == 5
 
 
+class TestLazyExports:
+    """``repro`` resolves its public names on first use; each check runs
+    in a fresh interpreter, where no name has been resolved yet."""
+
+    def test_import_loads_no_engine_or_scheduler(self, fresh_import_check):
+        fresh_import_check(
+            """
+            import sys
+            import repro
+            loaded = [n for n in sys.modules if n.startswith(("repro.engine", "repro.sched"))]
+            assert not loaded, loaded
+            """
+        )
+
+    def test_every_public_name_resolves(self, fresh_import_check):
+        fresh_import_check(
+            """
+            import repro
+            import repro.engine.manager
+            for name in repro.__all__:
+                getattr(repro, name)
+            assert repro.Engine is repro.engine.manager.Engine
+            assert not hasattr(repro, "no_such_name")
+            assert set(repro.__all__) <= set(dir(repro))
+            """
+        )
+
+    def test_star_import_binds_every_public_name(self, fresh_import_check):
+        fresh_import_check(
+            """
+            import repro
+            namespace = {}
+            exec("from repro import *", namespace)
+            missing = set(repro.__all__) - set(namespace)
+            assert not missing, missing
+            """
+        )
+
+
 class TestQuickstartFlow:
     def test_analyze_banking(self):
         from repro.apps import banking
